@@ -1,6 +1,6 @@
 # Developer entry points for the SNAPS reproduction.
 
-.PHONY: install test verify serve-smoke prefork-smoke stream-smoke obs-smoke shard-smoke supervise-smoke chaos bench bench-full examples clean
+.PHONY: install test verify serve-smoke prefork-smoke stream-smoke obs-smoke shard-smoke supervise-smoke cpus-matrix chaos bench bench-full examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -45,6 +45,15 @@ chaos:
 		tests/test_checkpoint.py tests/test_data_validate.py \
 		tests/test_chaos_pipeline.py tests/test_chaos_serve.py \
 		tests/test_stream.py tests/test_supervise.py
+
+# Machine-shape gate: task execution must behave the same whether every
+# task runs in-process (SNAPS_CPUS=1) or on a fork pool (SNAPS_CPUS=4),
+# so the parity, shard and supervision suites run at both.
+CPUS_SUITES = tests/test_parallel_parity.py tests/test_shard.py tests/test_supervise.py
+
+cpus-matrix:
+	SNAPS_CPUS=1 PYTHONPATH=src python -m pytest -q $(CPUS_SUITES)
+	SNAPS_CPUS=4 PYTHONPATH=src python -m pytest -q $(CPUS_SUITES)
 
 # Boot the HTTP serving subsystem on an in-process tiny graph, hit
 # /healthz, /v1/search (checked against the offline engine), a pedigree,
@@ -139,9 +148,9 @@ shard-smoke:
 # recover to byte-identical output with the restart counted in the run
 # report; a poison task must leave a quarantine artifact and an
 # actionable error; injected ENOSPC during snapshot commit must abort
-# with a hint and leave no partial snapshot.  SNAPS_OVERSUBSCRIBE lifts
-# the pool-size CPU clamp so the real multi-worker pool runs even on
-# 1-CPU CI boxes.  Artefacts stay in $(SUPERVISE_TMP) for CI upload.
+# with a hint and leave no partial snapshot.  SNAPS_CPUS=2 makes the box
+# look like two CPUs so the real multi-worker pool runs even on 1-CPU CI
+# boxes.  Artefacts stay in $(SUPERVISE_TMP) for CI upload.
 SUPERVISE_TMP = /tmp/snaps-supervise-smoke
 
 supervise-smoke:
@@ -150,19 +159,19 @@ supervise-smoke:
 	PYTHONPATH=src python -m repro simulate --dataset tiny --out $(SUPERVISE_TMP)/data; \
 	PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 0 --out $(SUPERVISE_TMP)/serial.json; \
-	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.score.t0.a0:worker_crash' \
+	SNAPS_CPUS=2 SNAPS_FAULTS='supervise.task.score.t0.a0:worker_crash' \
 		PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 2 --out $(SUPERVISE_TMP)/crash.json \
 		--metrics-out $(SUPERVISE_TMP)/crash-run.json; \
 	cmp $(SUPERVISE_TMP)/serial.json $(SUPERVISE_TMP)/crash.json; \
 	grep -q '"supervise.restarts": 1' $(SUPERVISE_TMP)/crash-run.json; \
-	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.score.t0.a0:hang:latency_s=30' \
+	SNAPS_CPUS=2 SNAPS_FAULTS='supervise.task.score.t0.a0:hang:latency_s=30' \
 		PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 2 --task-timeout 1 --out $(SUPERVISE_TMP)/hang.json \
 		--metrics-out $(SUPERVISE_TMP)/hang-run.json; \
 	cmp $(SUPERVISE_TMP)/serial.json $(SUPERVISE_TMP)/hang.json; \
 	grep -q '"supervise.hung_tasks": 1' $(SUPERVISE_TMP)/hang-run.json; \
-	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.score.t0.a*:error:times=none' \
+	SNAPS_CPUS=2 SNAPS_FAULTS='supervise.task.score.t0.a*:error:times=none' \
 		PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 2 --task-retries 0 --quarantine-dir $(SUPERVISE_TMP)/quarantine \
 		--out $(SUPERVISE_TMP)/poison.json 2>$(SUPERVISE_TMP)/poison.err \

@@ -607,18 +607,10 @@ def _supervise_config(args: argparse.Namespace):
 
 
 def _parallel_config(args: argparse.Namespace):
-    """ParallelConfig carrying the worker count plus supervision knobs.
-
-    SNAPS_OVERSUBSCRIBE=1 lifts the pool-size CPU clamp so multi-worker
-    chaos/smoke runs exercise real pools even on single-CPU boxes.
-    """
+    """ParallelConfig carrying the worker count plus supervision knobs."""
     from repro.parallel import ParallelConfig
 
-    return ParallelConfig(
-        workers=args.workers,
-        oversubscribe=os.environ.get("SNAPS_OVERSUBSCRIBE") == "1",
-        supervise=_supervise_config(args),
-    )
+    return ParallelConfig(workers=args.workers, supervise=_supervise_config(args))
 
 
 def _install_stop_handlers(checkpoint) -> None:

@@ -10,8 +10,8 @@ a :class:`ParallelConfig` asks for workers:
    value_b)`` comparator calls deduped across all candidate pairs and
    seeded into every scorer cache;
 3. **Process-pool pair scoring** — candidate pairs filtered and scored
-   in deterministic chunks across a ``ProcessPoolExecutor``, merged in
-   canonical order.
+   in deterministic chunks through :func:`repro.supervise.run_tasks`
+   (in-process or across a fork pool), merged in canonical order.
 
 The substrate's contract is byte-identity: for any worker count the
 resolver's entity clusters, pedigree graph, and checkpoint states equal
@@ -20,7 +20,7 @@ work, never from reordering decisions.
 """
 
 from repro.parallel.config import ParallelConfig, available_cpus
-from repro.parallel.pool import ChunkRunner, make_tasks
+from repro.parallel.pool import make_tasks
 from repro.parallel.precompute import (
     ParallelSeeds,
     build_payload,
@@ -31,7 +31,6 @@ from repro.parallel.precompute import (
 __all__ = [
     "ParallelConfig",
     "ParallelSeeds",
-    "ChunkRunner",
     "available_cpus",
     "build_payload",
     "make_tasks",

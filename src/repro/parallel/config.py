@@ -9,20 +9,11 @@ checkpointed under ``--workers 4`` resumes cleanly under ``--workers 1``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from repro.supervise.config import SuperviseConfig
+from repro.supervise.config import SuperviseConfig, available_cpus
 
 __all__ = ["ParallelConfig", "available_cpus"]
-
-
-def available_cpus() -> int:
-    """CPUs this process may schedule on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -38,11 +29,14 @@ class ParallelConfig:
     * ``1`` — run the parallel pipeline in-process (vectorised MinHash,
       batch scoring, seeded caches) without spawning workers;
     * ``N >= 2`` — additionally score chunks in up to ``N`` pool
-      processes.  The pool never exceeds the CPUs actually available —
-      oversubscribing a CPU-bound pool only adds scheduling and IPC
-      overhead — so on a small machine a large ``N`` degrades gracefully
-      to the in-process pipeline.  ``oversubscribe=True`` removes that
-      clamp (tests use it to exercise the real pool everywhere).
+      processes.  The pool never exceeds :func:`available_cpus` (or the
+      chunk count) — more CPU-bound processes than cores only add
+      scheduling and IPC overhead — so on a small machine a large ``N``
+      degrades gracefully to the in-process pipeline.  ``SNAPS_CPUS=<n>``
+      makes the box look like ``n`` CPUs (tests use it to exercise the
+      real pool, or the in-process path, everywhere).  Either way every
+      chunk runs through the same supervised attempt loop
+      (:func:`repro.supervise.run_tasks`).
 
     Chunk boundaries depend on the *requested* worker count, never on
     the machine, and chunk results merge in submission order — output is
@@ -59,7 +53,6 @@ class ParallelConfig:
     max_auto_workers: int = 8
     chunks_per_worker: int = 4
     min_chunk_size: int = 512
-    oversubscribe: bool = False
     supervise: SuperviseConfig | None = None
 
     def __post_init__(self) -> None:

@@ -1,39 +1,21 @@
-"""Deterministic chunk execution over an optional process pool.
+"""Deterministic chunking of pair lists into worker tasks.
 
-``ChunkRunner`` maps worker chunk functions over task lists and returns
+Chunks are executed by :func:`repro.supervise.run_tasks`, which returns
 results **in submission order** — the merge step's determinism comes
-from here, not from any property of the pool.  With ``workers == 1``
-the chunks run in-process (the parallel pipeline without fan-out);
-with ``workers >= 2`` they run in a ``ProcessPoolExecutor``.
-
-Payload shipping prefers the ``fork`` start method: the payload is
-installed in this process's worker module *before* the pool is created,
-so children inherit it without pickling the dataset.  Where only
-``spawn`` is available the payload travels once per worker through the
-pool initializer.
-
-Pool execution is *supervised* (:mod:`repro.supervise`): every chunk
-attempt heartbeats, hung attempts are killed at the task deadline, a
-crashed worker triggers a pool rebuild that resubmits only incomplete
-chunks, and a chunk failing its whole retry budget is quarantined with
-an artifact.  Recovery never changes output — chunks are pure functions
-of their inputs and results still merge in submission order.
+from there, not from any property of the pool.  Whether the chunks run
+in-process or in a fork pool (``min(workers, available_cpus(), chunks)
+>= 2``), every chunk goes through the same supervised attempt loop:
+retries, quarantine, and chaos sites behave identically.  The shared
+payload (dataset + config) is installed before the pool forks, so
+children inherit it without pickling the dataset; recovery never
+changes output because chunks are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-from typing import Callable
+from repro.parallel.config import ParallelConfig
 
-from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
-from repro.obs.trace import Trace
-from repro.parallel import worker
-from repro.parallel.config import ParallelConfig, available_cpus
-from repro.supervise import SupervisedExecutor, SuperviseConfig
-
-__all__ = ["ChunkRunner", "make_tasks"]
+__all__ = ["make_tasks"]
 
 
 def make_tasks(
@@ -60,128 +42,3 @@ def make_tasks(
         }
         for index, offset in enumerate(range(0, len(items), size))
     ]
-
-
-class ChunkRunner:
-    """Runs chunk tasks in-process or across a process pool."""
-
-    def __init__(
-        self,
-        payload: dict,
-        workers: int,
-        trace: Trace | None = None,
-        metrics: MetricsRegistry | None = None,
-        oversubscribe: bool = False,
-        supervise: SuperviseConfig | None = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"ChunkRunner needs workers >= 1, got {workers}")
-        self.payload = payload
-        self.workers = workers
-        # A CPU-bound pool gains nothing from more processes than cores —
-        # clamp unless explicitly asked to oversubscribe.  Pool size never
-        # affects output (results merge in submission order).
-        self.pool_workers = (
-            workers if oversubscribe else min(workers, available_cpus())
-        )
-        self.trace = trace if trace is not None else Trace.disabled()
-        self.metrics = metrics
-        # A silently skipped chunk would break byte-identical output, so
-        # the resolve paths always abort on quarantine regardless of the
-        # requested policy.
-        supervise = supervise if supervise is not None else SuperviseConfig.from_env()
-        if supervise.on_quarantine != "abort":
-            supervise = replace(supervise, on_quarantine="abort")
-        self.supervise = supervise
-        self._executor: SupervisedExecutor | None = None
-
-    def __enter__(self) -> "ChunkRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        """Build one pool generation (also the supervisor's rebuild hook)."""
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Children inherit the payload through fork: install it
-            # in this process's worker module first, ship nothing.
-            worker.set_payload(self.payload)
-            return ProcessPoolExecutor(
-                max_workers=self.pool_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        return ProcessPoolExecutor(  # pragma: no cover - non-fork platforms
-            max_workers=self.pool_workers,
-            mp_context=multiprocessing.get_context(),
-            initializer=worker.init_worker,
-            initargs=(self.payload,),
-        )
-
-    def _ensure_executor(self) -> SupervisedExecutor:
-        if self._executor is None:
-            self._executor = SupervisedExecutor(
-                self._make_pool,
-                self.supervise,
-                metrics=self.metrics,
-                label="chunk",
-                task_name=lambda task, index: f"chunk {task['chunk']}",
-            )
-        return self._executor
-
-    def map(self, fn: Callable[[dict], dict], tasks: list[dict], label: str) -> list[dict]:
-        """Run ``fn`` over ``tasks``; results come back in task order.
-
-        When tracing/metrics are live, each shipped task carries the
-        parent's serialised :class:`TraceContext` plus a ``collect``
-        flag; workers answer with a detached span and a metrics-delta
-        registry, which :meth:`_absorb` grafts under the chunk's wait
-        span and folds into the parent registry — one coherent span
-        tree and one registry regardless of worker count.
-        """
-        ctx = self.trace.context(label=label)
-        ctx_dict = ctx.to_dict() if ctx is not None else None
-        collect = self.metrics is not None
-        if ctx_dict is not None or collect:
-            tasks = [
-                {**task, "ctx": ctx_dict, "collect": collect} for task in tasks
-            ]
-        results: list[dict] = []
-        if self.pool_workers == 1:
-            worker.set_payload(self.payload)
-            for task in tasks:
-                with self.trace.span(f"parallel.{label}.chunk{task['chunk']}") as wait:
-                    result = fn(task)
-                self._absorb(result, wait)
-                results.append(result)
-            return results
-        executor = self._ensure_executor()
-        outputs = executor.map(fn, tasks, label)
-        for task, result in zip(tasks, outputs):
-            # The wait happened inside the supervisor; the span is kept
-            # (near-zero duration) so the trace tree keeps its per-chunk
-            # wait nodes with the worker span grafted beneath each.
-            with self.trace.span(f"parallel.{label}.chunk{task['chunk']}") as wait:
-                pass
-            self._absorb(result, wait)
-            results.append(result)
-        return results
-
-    def _absorb(self, result: dict, wait_span) -> None:
-        """Merge one chunk result's telemetry into the parent's."""
-        node = result.pop("span", None)
-        if node is not None:
-            self.trace.attach(node, parent=wait_span)
-        wmetrics = result.pop("wmetrics", None)
-        if self.metrics is not None:
-            if wmetrics is not None:
-                self.metrics.merge(wmetrics)
-            self.metrics.inc("parallel.chunks")
-            self.metrics.observe(
-                "parallel.chunk_seconds", result["elapsed"], LATENCY_BUCKETS_S
-            )

@@ -39,8 +39,9 @@ from repro.data.roles import Role
 from repro.obs.metrics import MetricsRegistry, merge_counts
 from repro.obs.trace import Trace
 from repro.parallel.config import ParallelConfig
-from repro.parallel.pool import ChunkRunner, make_tasks
+from repro.parallel.pool import make_tasks
 from repro.parallel.worker import filter_pairs_chunk, score_pairs_chunk
+from repro.supervise import run_tasks
 
 __all__ = [
     "ParallelSeeds",
@@ -94,15 +95,16 @@ def parallel_candidate_pairs(
     raw_pairs = list(block_key_pairs(records, blocker, metrics=metrics))
     payload = build_payload(dataset, config)
     tasks = make_tasks(raw_pairs, workers, payload["fingerprint"], parallel)
-    with ChunkRunner(
-        payload,
-        workers,
+    results = run_tasks(
+        filter_pairs_chunk,
+        tasks,
+        label="filter",
+        workers=workers,
         trace=trace,
         metrics=metrics,
-        oversubscribe=parallel.oversubscribe,
         supervise=parallel.supervise,
-    ) as runner:
-        results = runner.map(filter_pairs_chunk, tasks, "filter")
+        payload=payload,
+    )
     pairs: list[CandidatePair] = []
     rejected: dict[str, int] = {}
     for result in results:
@@ -139,15 +141,16 @@ def parallel_graph_and_seeds(
     payload = build_payload(dataset, config)
     pair_keys = [(pair.rid_a, pair.rid_b) for pair in candidate_pairs]
     tasks = make_tasks(pair_keys, workers, payload["fingerprint"], parallel)
-    with ChunkRunner(
-        payload,
-        workers,
+    results = run_tasks(
+        score_pairs_chunk,
+        tasks,
+        label="score",
+        workers=workers,
         trace=trace,
         metrics=metrics,
-        oversubscribe=parallel.oversubscribe,
         supervise=parallel.supervise,
-    ) as runner:
-        results = runner.map(score_pairs_chunk, tasks, "score")
+        payload=payload,
+    )
     attributes = config.schema.names()
     graph = DependencyGraph(dataset)
     seeds = ParallelSeeds()

@@ -1,14 +1,15 @@
 """Worker-side chunk functions for parallel blocking and pair scoring.
 
-A worker process owns one module-level payload (dataset + config +
-fingerprint) and lazily builds its scoring context from it once —
-comparator registry, name-frequency index, a column-oriented record
-table for vectorised predicates.  Under a ``fork`` start method the
-payload is inherited from the parent for free; under ``spawn`` it is
-shipped once via the pool initializer.  Either way the per-chunk task
-messages carry only pair-id lists plus the config fingerprint, which
-every chunk verifies against its context (a stale worker must fail
-loudly, never score against the wrong configuration).
+A worker process reads the run's shared payload (dataset + config +
+fingerprint, installed by :func:`repro.supervise.run_tasks`) and lazily
+builds its scoring context from it once — comparator registry,
+name-frequency index, a column-oriented record table for vectorised
+predicates.  Under a ``fork`` start method the payload is inherited
+from the parent for free; under ``spawn`` it is shipped once via the
+pool initializer.  Either way the per-chunk task messages carry only
+pair-id lists plus the config fingerprint, which every chunk verifies
+against its context (a stale worker must fail loudly, never score
+against the wrong configuration).
 
 The pair filters and constraint verdicts here are numpy boolean masks
 over integer record columns (certificate ids, role codes, gender codes,
@@ -32,33 +33,14 @@ from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import context_span
 from repro.parallel.batchscore import batch_atomic_similarity
 from repro.similarity.registry import registry_for_config
+from repro.supervise import task_payload
 
-__all__ = [
-    "filter_pairs_chunk",
-    "score_pairs_chunk",
-    "set_payload",
-    "init_worker",
-]
+__all__ = ["filter_pairs_chunk", "score_pairs_chunk"]
 
 # Rejection counters in the order generate_candidate_pairs applies them.
 REJECT_KEYS = ("same_cert", "role", "same_census", "gender", "temporal")
 
-_PAYLOAD: dict | None = None
 _CONTEXT: "_Context | None" = None
-
-
-def set_payload(payload: dict | None) -> None:
-    """Install the worker payload (idempotent on the same object)."""
-    global _PAYLOAD, _CONTEXT
-    if payload is _PAYLOAD:
-        return
-    _PAYLOAD = payload
-    _CONTEXT = None
-
-
-def init_worker(payload: dict) -> None:
-    """Pool initializer for start methods that cannot inherit globals."""
-    set_payload(payload)
 
 
 class _RecordTable:
@@ -146,6 +128,7 @@ class _Context:
     """Per-process scoring context, built once from the payload."""
 
     def __init__(self, payload: dict) -> None:
+        self.payload = payload
         self.fingerprint: str = payload["fingerprint"]
         self.dataset = payload["dataset"]
         self.config = payload["config"]
@@ -173,10 +156,11 @@ class _Context:
 
 def _context(fingerprint: str) -> _Context:
     global _CONTEXT
-    if _PAYLOAD is None:
+    payload = task_payload()
+    if payload is None:
         raise RuntimeError("worker has no payload installed")
-    if _CONTEXT is None:
-        _CONTEXT = _Context(_PAYLOAD)
+    if _CONTEXT is None or _CONTEXT.payload is not payload:
+        _CONTEXT = _Context(payload)
     if _CONTEXT.fingerprint != fingerprint:
         raise RuntimeError(
             f"task fingerprint {fingerprint!r} does not match worker "
@@ -192,7 +176,7 @@ def _finish(task: dict, result: dict, label: str, counters: dict[str, int]) -> d
     span (pid/chunk/pairs annotated, elapsed = chunk wall time) rides
     home as a dict; when ``collect`` is set, a fresh
     :class:`MetricsRegistry` of this chunk's deltas does too.  The
-    parent grafts/merges both — see ``ChunkRunner._absorb``.
+    parent grafts/merges both — see :func:`repro.supervise.run_tasks`.
     """
     elapsed = result["elapsed"]
     ctx = task.get("ctx")

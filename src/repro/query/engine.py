@@ -251,7 +251,12 @@ class QueryEngine:
                     provided.append("parish")
                 max_score = sum(self.weights[a] for a in provided)
                 top: TopK[tuple[int, dict[str, float]]] = TopK(top_m)
-                for entity_id, scores in accumulator.items():
+                # TopK keeps the earliest of equal scores, so feeding it
+                # in entity-id order ranks by (score desc, entity_id asc):
+                # a total order, whatever order the index postings (and
+                # so the accumulator) came in.
+                for entity_id in sorted(accumulator):
+                    scores = accumulator[entity_id]
                     entity = self.graph.entity(entity_id)
                     if not self._record_type_filter(query, entity):
                         continue

@@ -466,18 +466,27 @@ class ServingApp:
         except ValueError as error:
             return _error_response(400, str(error))
         key = query_cache_key(query, top_m)
+        # The engine and the snapshot token it answers for, read together
+        # against a concurrent reload: a miss computed on this engine is
+        # cached under this token, even if a reload lands meanwhile.
+        with self._reload_lock:
+            engine, token = self.engine, self.cache.token
         with trace.span("cache_lookup"):
             cached = self.cache.get(key)
         if cached is not MISS:
             return _json_response(200, {**cached, "cached": True})
-        # Coalesce the miss path: concurrent identical queries share the
-        # leader's computation (and its Response — built fresh per
-        # flight, treated as read-only by the transport).
+        # Coalesce the miss path: concurrent identical queries on the
+        # same snapshot share the leader's computation (and its
+        # Response — built fresh per flight, treated as read-only by
+        # the transport).
         return self.flights.do(
-            key, lambda: self._search_miss(key, query, top_m, trace)
+            (token, key),
+            lambda: self._search_miss(key, query, top_m, trace, engine, token),
         )
 
-    def _search_miss(self, key, query, top_m: int, trace: Trace) -> Response:
+    def _search_miss(
+        self, key, query, top_m: int, trace: Trace, engine: QueryEngine, token
+    ) -> Response:
         breaker = self.breakers["search"]
         if not breaker.allow():
             # Open circuit: don't touch the backend at all.
@@ -497,7 +506,7 @@ class ServingApp:
                 return self._rejected(rejected)
             with trace.span("search"):
                 try:
-                    hits = self.engine.search(query, top_m=top_m)
+                    hits = engine.search(query, top_m=top_m)
                 except Exception as error:
                     breaker.record_failure(error)
                     logger.warning(
@@ -510,7 +519,7 @@ class ServingApp:
         breaker.record_success()
         with trace.span("serialize"):
             result = search_payload(hits)
-        self.cache.put(key, result)
+        self.cache.put(key, result, token=token)
         return _json_response(200, {**result, "cached": False})
 
     def _handle_pedigree(
@@ -536,6 +545,9 @@ class ServingApp:
             )
         breaker = self.breakers["pedigree"]
         key = ("pedigree", entity_id, generations, fmt)
+        # As for search: extract from, and cache under, one snapshot.
+        with self._reload_lock:
+            graph, token = self.graph, self.cache.token
         if not breaker.allow():
             return self._stale_pedigree(key) or self._breaker_unavailable(
                 breaker, "pedigree backend unavailable (circuit open)"
@@ -549,7 +561,7 @@ class ServingApp:
                 return self._rejected(rejected)
             with trace.span("extract"):
                 try:
-                    pedigree = extract_pedigree(self.graph, entity_id, generations)
+                    pedigree = extract_pedigree(graph, entity_id, generations)
                 except KeyError:
                     # The backend worked; the entity just doesn't exist.
                     breaker.record_success()
@@ -567,7 +579,7 @@ class ServingApp:
             with trace.span("serialize"):
                 if fmt == "json":
                     payload = pedigree_payload(pedigree)
-                    self.cache.put(key, ("json", payload))
+                    self.cache.put(key, ("json", payload), token=token)
                     return _json_response(200, payload)
                 if fmt == "dot":
                     text = render_dot(pedigree)
@@ -575,7 +587,7 @@ class ServingApp:
                     text = render_gedcom(pedigree)
                 else:
                     text = render_ascii_tree(pedigree)
-                self.cache.put(key, ("text", text))
+                self.cache.put(key, ("text", text), token=token)
                 return _text_response(200, text)
 
     def _handle_reload(self, body: bytes | None = None) -> Response:
@@ -589,9 +601,10 @@ class ServingApp:
         bounded retries with exponential backoff (only transient faults
         retry — a corrupt snapshot fails immediately); repeated failures
         open the ``reload`` breaker so callers back off while the old
-        graph keeps serving.  A successful swap bumps the result-cache
-        epoch, so answers computed from the predecessor snapshot can
-        only resurface through the explicit ``Warning: 110`` stale path.
+        graph keeps serving.  A successful swap rebinds the result cache
+        to the new snapshot's id, so answers computed from the
+        predecessor snapshot can only resurface through the explicit
+        ``Warning: 110`` stale path.
         """
         if self.store is None and self.reload_delegate is None:
             return _error_response(
@@ -671,9 +684,9 @@ class ServingApp:
             self.manifest = loaded.manifest
             # Results computed from the predecessor must not come back
             # as fresh hits; degraded mode can still reach them via
-            # get_stale (Warning: 110).  Rebinding to the new snapshot's
-            # id both bumps the epoch locally and marks the entries so
-            # any process that later fork-inherits them refuses them too.
+            # get_stale (Warning: 110).  Entries carry the snapshot id
+            # they came from, so any process that later fork-inherits
+            # them refuses them too.
             self.cache.rebind(str(loaded.manifest.snapshot_id))
         self.metrics.inc("serve.reloads")
         logger.info(

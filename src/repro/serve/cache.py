@@ -27,6 +27,9 @@ __all__ = ["LRUTTLCache", "MISS", "query_cache_key"]
 # empty result list is a perfectly good cache entry).
 MISS = object()
 
+# Default for ``put(token=...)``: file under the currently bound token.
+_BOUND = object()
+
 
 def query_cache_key(query: Query, top_m: int) -> tuple:
     """The normalised, hashable identity of one search request.
@@ -65,24 +68,17 @@ class LRUTTLCache:
     stale answer with a ``Warning`` header beats a 503 when the backend
     is broken.
 
-    Entries are additionally tagged with the cache *epoch*.
-    :meth:`bump_epoch` (called on snapshot promotion) marks everything
-    cached so far as belonging to the previous snapshot: ``get`` treats
-    old-epoch entries exactly like expired ones, so a freshly promoted
-    snapshot can never serve a predecessor's results as a normal cache
-    hit — only via the explicitly-marked ``get_stale`` degraded path.
-
-    The epoch alone is a *per-process* counter, which is not enough once
-    processes fork: a pre-fork worker inherits its parent's warm cache
-    together with the parent's epoch counter, so entries computed
-    against a previous snapshot would look perfectly fresh in the child.
-    Entries are therefore also tagged with the **snapshot token** (the
-    snapshot id) that was bound when they were stored; :meth:`rebind`
-    declares which snapshot the process is now serving, and ``get``
-    refuses entries stored under any other token exactly like expired
-    ones.  A post-reload worker rotation thus can never serve a
-    pre-reload result without the ``Warning: 110`` stale marking, no
-    matter which process the cache bytes were inherited from.
+    Entries are tagged with the **snapshot token** (the snapshot id)
+    they were computed from.  :meth:`rebind` declares which snapshot the
+    process is now serving, and ``get`` refuses entries stored under any
+    other token exactly like expired ones — only the explicitly marked
+    ``get_stale`` degraded path can still reach them.  The token travels
+    with the entry, so this holds across ``fork`` too: a post-reload
+    worker that inherited its parent's warm cache can never serve a
+    pre-reload result without the ``Warning: 110`` stale marking.
+    Writers that computed a value against a snapshot they captured
+    earlier pass that snapshot's token to :meth:`put`, so a result that
+    lands after a reload is filed under the snapshot it came from.
     """
 
     def __init__(
@@ -106,10 +102,9 @@ class LRUTTLCache:
         self._metrics = metrics
         self._prefix = prefix
         # key -> [value, expires_at | None, stored_at, expiry_counted,
-        # epoch, token]; insertion order == recency.
+        # token]; insertion order == recency.
         self._entries: OrderedDict[Hashable, list] = OrderedDict()
         self._lock = threading.Lock()
-        self._epoch = 0
         self._token = token
         self.hits = 0
         self.misses = 0
@@ -131,12 +126,10 @@ class LRUTTLCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                value, expires_at, _, counted, epoch, token = entry
+                value, expires_at, _, counted, token = entry
                 if (
-                    (expires_at is not None and now >= expires_at)
-                    or epoch != self._epoch
-                    or token != self._token
-                ):
+                    expires_at is not None and now >= expires_at
+                ) or token != self._token:
                     expired = not counted
                     if self.keep_stale:
                         entry[3] = True  # count the expiry only once
@@ -168,43 +161,36 @@ class LRUTTLCache:
             entry = self._entries.get(key)
             if entry is None:
                 return MISS
-            value, _, stored_at, _, _, _ = entry
+            value, _, stored_at, _, _ = entry
             self.stale_hits += 1
         self._count("stale_hits")
         return value, max(0.0, now - stored_at)
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert/refresh ``key``, evicting the LRU entry on overflow."""
+    def put(self, key: Hashable, value: Any, token: Any = _BOUND) -> None:
+        """Insert/refresh ``key``, evicting the LRU entry on overflow.
+
+        ``token`` names the snapshot ``value`` was computed from
+        (default: the currently bound one).  A value from a snapshot
+        that has since been rebound away is stored but never served
+        fresh.
+        """
         if self.max_size == 0:
             return
         now = self._clock()
         expires_at = now + self.ttl_s if self.ttl_s is not None else None
         evicted = 0
         with self._lock:
+            if token is _BOUND:
+                token = self._token
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = [
-                value, expires_at, now, False, self._epoch, self._token,
-            ]
+            self._entries[key] = [value, expires_at, now, False, token]
             while len(self._entries) > self.max_size:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
         if evicted:
             self._count("evictions", evicted)
-
-    def bump_epoch(self) -> None:
-        """Mark everything cached so far as pre-promotion.
-
-        Without ``keep_stale`` the old entries are simply dropped; with
-        it they stay recoverable through :meth:`get_stale` (degraded
-        mode) but ``get`` will never return them as a fresh hit.
-        """
-        with self._lock:
-            self._epoch += 1
-            self.invalidations += 1
-            if not self.keep_stale:
-                self._entries.clear()
 
     def rebind(self, token: str | None) -> None:
         """Declare which snapshot this process now serves.
@@ -213,13 +199,15 @@ class LRUTTLCache:
         idempotent re-promotion must not blow the cache); otherwise the
         change invalidates every stored entry — both those stored under
         the old token *and* any inherited across a ``fork`` from a
-        parent bound elsewhere — exactly like :meth:`bump_epoch` does.
+        parent bound elsewhere.  Without ``keep_stale`` the old entries
+        are dropped; with it they stay recoverable through
+        :meth:`get_stale` (degraded mode) but ``get`` will never return
+        them as a fresh hit.
         """
         with self._lock:
             if token == self._token:
                 return
             self._token = token
-            self._epoch += 1
             self.invalidations += 1
             if not self.keep_stale:
                 self._entries.clear()

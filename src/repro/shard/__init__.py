@@ -15,10 +15,9 @@ shared state.  This package turns that observation into a subsystem:
   does not keep whole), such that every pair is resolved exactly once;
 * :mod:`repro.shard.worker` — the per-shard process entry point: builds
   a shard-local dataset, resolves it serially, ships clusters home;
-* :mod:`repro.shard.runner` — submission-ordered process-pool execution
-  with PR-6 trace/metrics propagation (one span tree across shards);
 * :mod:`repro.shard.resolve` — the orchestrator: global blocking, plan,
-  fan-out, deterministic merge, boundary pass.  Output is byte-identical
+  fan-out through :func:`repro.supervise.run_tasks` (submission-ordered,
+  one span tree across shards), deterministic merge, boundary pass.  Output is byte-identical
   to the serial resolver for any shard count.
 """
 

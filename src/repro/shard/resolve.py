@@ -42,12 +42,11 @@ from repro.data.records import Dataset
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Trace
-from repro.parallel.config import available_cpus
 from repro.shard.boundary import split_pairs
 from repro.shard.partition import ShardPlan, build_shard_plan
-from repro.shard.runner import ShardRunner
-from repro.shard.worker import make_shard_task
+from repro.shard.worker import make_shard_task, resolve_shard_task
 from repro.store.manifest import config_fingerprint, config_to_dict
+from repro.supervise import run_tasks
 from repro.utils.timer import Stopwatch
 
 __all__ = ["ShardedResolution", "resolve_sharded"]
@@ -90,12 +89,12 @@ def resolve_sharded(
     checkpoint=None,
     parallel=None,
     plan: ShardPlan | None = None,
-    oversubscribe: bool = False,
 ) -> ShardedResolution:
     """Resolve ``dataset`` across ``n_shards`` isolated shard processes.
 
-    ``workers`` caps the shard pool (default: one process per shard, up
-    to the CPU count).  ``parallel`` only accelerates the global blocking
+    ``workers`` caps the shard pool (default: one process per shard);
+    :func:`~repro.supervise.run_tasks` further caps it at the CPU count
+    and runs the shards in-process when fewer than two would remain.  ``parallel`` only accelerates the global blocking
     phase; shard resolution itself is serial within each worker.
     ``plan`` substitutes a precomputed partition (incremental ingest
     reuses a parent snapshot's); components the plan no longer keeps
@@ -153,16 +152,16 @@ def resolve_sharded(
                     frequencies,
                 )
             )
-        runner = ShardRunner(
-            workers if workers is not None else max(1, min(plan.n_shards, available_cpus())),
-            trace=trace,
-            metrics=metrics,
-            oversubscribe=oversubscribe
-            or (parallel is not None and parallel.oversubscribe),
-            supervise=parallel.supervise if parallel is not None else None,
-        )
         with timings.phase("shard_resolve"):
-            results = runner.run(tasks)
+            results = run_tasks(
+                resolve_shard_task,
+                tasks,
+                label="shard",
+                workers=workers if workers is not None else plan.n_shards,
+                trace=trace,
+                metrics=metrics,
+                supervise=parallel.supervise if parallel is not None else None,
+            )
         with trace.span("merge"), timings.phase("merge"):
             store = EntityStore(dataset)
             atomic_keys: set = set()

@@ -1,16 +1,23 @@
-"""Supervised worker execution shared by every multiprocess path.
+"""Supervised task execution shared by every fan-out path.
 
-Chunk pools (``repro.parallel``), shard fan-out (``repro.shard``), and
-streaming ingest (``repro.stream``) all run pure tasks in worker
-processes; this package gives them one substrate for liveness
-(heartbeats + per-task deadlines), crash recovery (pool rebuild +
-resubmit of incomplete tasks, byte-identical output), and poison-task
-quarantine with durable JSONL evidence.  The planned pre-fork serving
-tier reuses the same substrate for worker liveness.
+Chunk scoring (``repro.parallel``) and shard resolution
+(``repro.shard``) run pure tasks through one entry point,
+:func:`run_tasks`.  It gives them one attempt loop with the same retry
+and quarantine semantics in-process and pooled, plus, on a pool,
+liveness (heartbeats + per-task deadlines) and crash recovery (pool
+rebuild + resubmit of incomplete tasks, byte-identical output).
+Poison tasks are quarantined with durable JSONL evidence.
+``SNAPS_CPUS=<n>`` (read by :func:`available_cpus`) pretends the box
+has ``n`` CPUs, which decides whether a pool is used at all.
 """
 
-from repro.supervise.config import SuperviseConfig
-from repro.supervise.executor import SupervisedExecutor, run_supervised
+from repro.supervise.config import SuperviseConfig, available_cpus
+from repro.supervise.executor import (
+    SupervisedExecutor,
+    run_supervised,
+    run_tasks,
+    task_payload,
+)
 from repro.supervise.heartbeat import (
     HeartbeatWriter,
     clear_heartbeats,
@@ -28,10 +35,13 @@ __all__ = [
     "SuperviseConfig",
     "SupervisedExecutor",
     "TaskQuarantinedError",
+    "available_cpus",
     "clear_heartbeats",
     "default_quarantine_dir",
     "inputs_digest",
     "read_heartbeats",
     "run_supervised",
+    "run_tasks",
+    "task_payload",
     "write_quarantine_record",
 ]

@@ -12,11 +12,28 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-__all__ = ["SuperviseConfig"]
+__all__ = ["SuperviseConfig", "available_cpus"]
 
 ENV_TIMEOUT = "SNAPS_TASK_TIMEOUT"
 ENV_RETRIES = "SNAPS_TASK_RETRIES"
 ENV_QUARANTINE = "SNAPS_QUARANTINE_DIR"
+ENV_CPUS = "SNAPS_CPUS"
+
+
+def available_cpus() -> int:
+    """CPUs this process may schedule on (affinity-aware).
+
+    ``SNAPS_CPUS=<n>`` overrides the probe ("pretend the box has ``n``
+    CPUs"): tests and smokes set it to run the same suite in-process
+    (``1``) and on a real pool (``>= 2``) on any machine.
+    """
+    override = os.environ.get(ENV_CPUS, "").strip()
+    if override:
+        return max(1, int(override))
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,21 @@
-"""Supervised pool execution: deadlines, crash recovery, quarantine.
+"""Supervised task execution: one attempt loop, in-process or pooled.
 
-:class:`SupervisedExecutor` wraps a ``ProcessPoolExecutor`` (built by a
-caller-supplied factory so chunk and shard runners keep their own fork/
-spawn setup) and guarantees:
+:func:`run_tasks` is the single entry point every fan-out path uses —
+chunk scoring (``repro.parallel``) and shard resolution
+(``repro.shard``).  It runs each task through :class:`SupervisedExecutor`,
+whose attempt loop is the same whether the task runs in this process or
+in a fork pool: the same ``supervise.task.<label>.t<i>.a<k>`` injection
+sites, the same TRANSIENT-retry / PERMANENT-quarantine charging, the
+same :class:`TaskQuarantinedError` abort.  A fault therefore has the
+same outcome on one CPU as on many; only the pool-only failure modes
+below (a dead or hung worker process) need a pool to arise.
 
-**Liveness.**  Every task attempt announces itself through a heartbeat
-file (:mod:`repro.supervise.heartbeat`) before running.  A supervisor
-loop polls the futures *and* the heartbeats; an attempt older than
-``task_timeout_s`` is killed with SIGKILL, which breaks the pool and
-routes recovery through the same path as a crash.
+**Liveness (pool only).**  Every pooled attempt announces itself
+through a heartbeat file (:mod:`repro.supervise.heartbeat`) before
+running.  A supervisor loop polls the futures *and* the heartbeats; an
+attempt older than ``task_timeout_s`` is killed with SIGKILL, which
+breaks the pool and routes recovery through the same path as a crash.
+In-process attempts have no deadline: nothing can kill them.
 
 **Bounded deterministic re-execution.**  Tasks are pure functions of
 their chunk/shard inputs, so re-running one is always safe.  When the
@@ -46,11 +53,14 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
+from dataclasses import replace
 from typing import Callable
 
 from repro.faults import fire
 from repro.faults.taxonomy import TRANSIENT, classify
-from repro.supervise.config import SuperviseConfig
+from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
+from repro.obs.trace import Trace
+from repro.supervise.config import SuperviseConfig, available_cpus
 from repro.supervise.heartbeat import (
     RUNNING,
     HeartbeatWriter,
@@ -62,11 +72,33 @@ from repro.supervise.quarantine import (
     write_quarantine_record,
 )
 
-__all__ = ["SupervisedExecutor", "run_supervised"]
+__all__ = [
+    "SupervisedExecutor",
+    "run_supervised",
+    "run_tasks",
+    "set_payload",
+    "task_payload",
+]
 
 #: Exceptions that mean "the pool is dead", as opposed to "the task
 #: raised": recovery rebuilds the pool and resubmits incomplete work.
 _POOL_DEATH = (BrokenExecutor, EOFError)
+
+#: The run's shared, read-only task payload (e.g. the dataset chunk
+#: tasks score against).  Installed before a fork pool is built, so
+#: workers inherit it instead of unpickling it per task.
+_PAYLOAD: object = None
+
+
+def set_payload(payload: object) -> None:
+    """Install the shared task payload in this process."""
+    global _PAYLOAD
+    _PAYLOAD = payload
+
+
+def task_payload() -> object:
+    """The shared task payload installed for this run (None if none)."""
+    return _PAYLOAD
 
 
 def run_supervised(fn: Callable, task: object, meta: dict) -> object:
@@ -92,6 +124,30 @@ def run_supervised(fn: Callable, task: object, meta: dict) -> object:
         return fn(task)
 
 
+def _describe(exc: BaseException) -> str:
+    """The full traceback text a quarantine record keeps per attempt."""
+    return "".join(
+        traceback.format_exception(type(exc), exc, exc.__traceback__)
+    ).strip()
+
+
+class _InProcessPool:
+    """A pool of no processes: ``submit`` runs the call in this process
+    and returns its already-settled future, so in-process tasks go
+    through the supervisor's one attempt loop unchanged."""
+
+    def submit(self, fn: Callable, *args: object) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
 class _PoolBroken(Exception):
     """Internal: the pool died; ``suspects`` are charged an attempt."""
 
@@ -103,23 +159,38 @@ class _PoolBroken(Exception):
 
 
 class SupervisedExecutor:
-    """Run pure tasks on a rebuildable pool under supervision."""
+    """Run pure tasks under supervision, in-process or on a fork pool.
+
+    ``workers == 0`` runs every attempt in this process (through an
+    :class:`_InProcessPool`); ``workers >= 1`` runs attempts on a
+    rebuildable fork pool of that many processes.  Both go through the
+    same attempt loop, so retry, quarantine, and chaos-site semantics
+    are identical; only heartbeats and deadlines need real processes.  ``payload`` is installed (:func:`set_payload`) before
+    any pool exists, so forked workers inherit it.
+    """
 
     def __init__(
         self,
-        pool_factory: Callable[[], object],
         config: SuperviseConfig | None = None,
         *,
+        workers: int = 0,
+        payload: object = None,
         metrics=None,
         label: str = "task",
         task_name: Callable[[object, int], str] | None = None,
     ) -> None:
-        self.pool_factory = pool_factory
         self.config = config if config is not None else SuperviseConfig.from_env()
+        self.workers = workers
+        self.payload = payload
+        if payload is not None:
+            set_payload(payload)
         self.metrics = metrics
         self.label = label
         self.task_name = task_name or (lambda task, index: f"task {index}")
         self.restarts = 0
+        #: Per-task seconds from first submission to result, last map().
+        self.waits: list[float] = []
+        self._submitted: dict[int, float] = {}
         self._pool = None
         self._hb_dir: str | None = None
 
@@ -143,7 +214,27 @@ class SupervisedExecutor:
 
     def _ensure_pool(self):
         if self._pool is None:
-            self._pool = self.pool_factory()
+            if not self.workers:
+                self._pool = _InProcessPool()
+                return self._pool
+            # Imported here: serving processes import this module for its
+            # heartbeat substrate and never build a pool.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                # Children inherit the payload installed in __init__.
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                )
+            else:  # pragma: no cover - non-fork platforms
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context(),
+                    initializer=set_payload,
+                    initargs=(self.payload,),
+                )
         return self._pool
 
     def _shutdown_pool(self) -> None:
@@ -187,15 +278,15 @@ class SupervisedExecutor:
         their position; under ``abort`` (the default) the first
         quarantine raises :class:`TaskQuarantinedError`.
         """
-        if not tasks:
-            return []
         label = label or self.label
-        if self._hb_dir is None:
-            self._hb_dir = tempfile.mkdtemp(prefix="snaps-heartbeats-")
+        self.waits = [0.0] * len(tasks)
+        self._submitted = {}
         results: dict[int, object] = {}
         charged = [0] * len(tasks)
         errors: list[list[str]] = [[] for _ in tasks]
         skipped: set[int] = set()
+        if self._hb_dir is None and self.workers and tasks:
+            self._hb_dir = tempfile.mkdtemp(prefix="snaps-heartbeats-")
         while len(results) < len(tasks):
             try:
                 self._round(fn, tasks, label, results, charged, errors, skipped)
@@ -242,7 +333,17 @@ class SupervisedExecutor:
 
         def submit(index: int) -> None:
             meta = self._meta(label, index, charged[index])
-            futures[pool.submit(run_supervised, fn, tasks[index], meta)] = index
+            first = self._submitted.setdefault(index, time.perf_counter())
+            future = pool.submit(run_supervised, fn, tasks[index], meta)
+
+            # Timed when the result lands (the pool's result thread, or
+            # at once in-process), not when this loop gets round to it.
+            def timed(done: Future, i: int = index, first: float = first) -> None:
+                if not done.cancelled() and done.exception() is None:
+                    self.waits[i] = time.perf_counter() - first
+
+            future.add_done_callback(timed)
+            futures[future] = index
 
         incomplete = [i for i in range(len(tasks)) if i not in results]
         try:
@@ -271,16 +372,13 @@ class SupervisedExecutor:
                         f"{type(exc).__name__}: {exc}", self._suspects(pending)
                     ) from None
                 # The task raised inside a live worker: charge it alone.
-                detail = "".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ).strip()
                 self._charge(
                     index,
                     tasks,
                     label,
                     charged,
                     errors,
-                    detail,
+                    _describe(exc),
                     results=results,
                     skipped=skipped,
                     category=classify(exc),
@@ -399,3 +497,85 @@ class SupervisedExecutor:
             sorted({int(beat["index"]) for beat in hung}),
             hung=True,
         )
+
+
+# -- the one fan-out entry point ---------------------------------------
+
+
+def _task_names(label: str, task: dict) -> tuple[str, str]:
+    """(per-task span, quarantine name) for a shard or a chunk task."""
+    if label == "shard":
+        return f"shard.s{task['shard']}", f"shard {task['shard']}"
+    return f"parallel.{label}.chunk{task['chunk']}", f"chunk {task['chunk']}"
+
+
+def run_tasks(
+    fn: Callable[[dict], dict],
+    tasks: list[dict],
+    *,
+    label: str,
+    workers: int,
+    trace: Trace | None = None,
+    metrics: MetricsRegistry | None = None,
+    supervise: SuperviseConfig | None = None,
+    payload: object = None,
+) -> list[dict]:
+    """Run ``fn`` over ``tasks`` under supervision; results in task order.
+
+    Two task families come through here: chunk tasks (``label`` is the
+    chunk phase, e.g. ``"score"``) and shard tasks (``label="shard"``).
+    The pool has ``min(workers, available_cpus(), len(tasks))``
+    processes and is used only when that is at least 2; otherwise every
+    task runs in-process through the same attempt loop.  Results merge
+    in submission order, so the choice never changes output.
+
+    Quarantine always aborts: a silently skipped task would drop its
+    output from a merge that must stay byte-identical to serial.
+
+    When tracing/metrics are live, each task carries the parent's
+    serialised :class:`~repro.obs.trace.TraceContext` plus a ``collect``
+    flag; workers answer with a detached span and a metrics-delta
+    registry.  Each task gets a span timed with its real wait (first
+    submission to result), the worker span is grafted beneath it, and
+    the deltas fold into ``metrics`` — one span tree and one registry
+    whatever ran where.
+    """
+    trace = trace if trace is not None else Trace.disabled()
+    config = supervise if supervise is not None else SuperviseConfig.from_env()
+    if config.on_quarantine != "abort":
+        config = replace(config, on_quarantine="abort")
+    ctx = trace.context(label=label)
+    ctx_dict = ctx.to_dict() if ctx is not None else None
+    collect = metrics is not None
+    if ctx_dict is not None or collect:
+        tasks = [{**task, "ctx": ctx_dict, "collect": collect} for task in tasks]
+    pool_size = min(workers, available_cpus(), len(tasks))
+    with SupervisedExecutor(
+        config,
+        workers=pool_size if pool_size >= 2 else 0,
+        payload=payload,
+        metrics=metrics,
+        label=label,
+        task_name=lambda task, index: _task_names(label, task)[1],
+    ) as executor:
+        results = executor.map(fn, tasks, label)
+        waits = executor.waits
+    done, seconds = (
+        ("shard.resolved", "shard.resolve_seconds")
+        if label == "shard"
+        else ("parallel.chunks", "parallel.chunk_seconds")
+    )
+    for task, result, waited in zip(tasks, results, waits):
+        with trace.span(_task_names(label, task)[0]) as span:
+            if span is not None:
+                span.elapsed = waited
+        node = result.pop("span", None)
+        if node is not None:
+            trace.attach(node, parent=span)
+        wmetrics = result.pop("wmetrics", None)
+        if metrics is not None:
+            if wmetrics is not None:
+                metrics.merge(wmetrics)
+            metrics.inc(done)
+            metrics.observe(seconds, result["elapsed"], LATENCY_BUCKETS_S)
+    return results

@@ -37,3 +37,11 @@ def tiny_pedigree_graph(tiny_dataset, resolved_tiny):
 def tiny_query_engine(tiny_pedigree_graph):
     """Query engine over the tiny pedigree graph."""
     return QueryEngine(tiny_pedigree_graph)
+
+
+@pytest.fixture()
+def pool_cpus(monkeypatch):
+    """Make the box look like 4 CPUs, so multi-worker runs use a real
+    fork pool even on a one-core machine (pool-only behaviour: worker
+    crashes, hangs, cross-process telemetry)."""
+    monkeypatch.setenv("SNAPS_CPUS", "4")

@@ -12,16 +12,20 @@ with ``memmap=True`` by falling back to the eager codec.
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
 
-from repro.core import SnapsConfig
+from repro.core import SnapsConfig, SnapsResolver
+from repro.data.synthetic import make_ios_dataset
 from repro.index import (
     KeywordIndex,
     MemmapKeywordIndex,
     MemmapSimilarityIndex,
 )
+from repro.parallel import ParallelConfig
+from repro.pedigree import build_pedigree_graph
 from repro.serve import ServeConfig, ServingApp
 from repro.store import SnapshotStore
 from repro.store import codecs
@@ -130,6 +134,70 @@ class TestByteParity:
         mapped = mapped_app.handle("GET", path, params, b"")
         assert eager.status == mapped.status == 200
         assert eager.body == mapped.body
+
+
+def _bench_bodies(dataset, count: int, seed: int = 7) -> list[dict]:
+    """``count`` distinct searches drawn like the serving benchmark's:
+    real record names, some misspelled, some with year/parish filters."""
+    rng = random.Random(seed)
+    records = [
+        r for r in dataset if r.get("first_name") and r.get("surname")
+    ]
+    seen: set[str] = set()
+    bodies: list[dict] = []
+    while len(bodies) < count:
+        record = rng.choice(records)
+        surname = record.get("surname")
+        if len(surname) >= 4 and rng.random() < 0.3:
+            cut = rng.randrange(1, len(surname) - 1)
+            surname = surname[:cut] + surname[cut + 1:]
+        body = {"first_name": record.get("first_name"), "surname": surname}
+        year = record.get("event_year")
+        if year and rng.random() < 0.3:
+            body["year_from"] = int(year) - rng.randint(5, 15)
+            body["year_to"] = int(year) + rng.randint(5, 15)
+        if record.get("parish") and rng.random() < 0.3:
+            body["parish"] = record.get("parish")
+        key = json.dumps(body, sort_keys=True)
+        if key not in seen:
+            seen.add(key)
+            bodies.append(body)
+    return bodies
+
+
+class TestBenchScaleParity:
+    """Parity at the serving benchmark's corpus scale (IOS 0.1), where
+    tied scores are common: eager and memmap indexes hand postings to
+    the ranker in different orders, so only a total ranking order keeps
+    the response bytes equal."""
+
+    @pytest.fixture(scope="class")
+    def bench_apps(self, tmp_path_factory):
+        dataset = make_ios_dataset(scale=0.1)
+        result = SnapsResolver(SnapsConfig()).resolve(
+            dataset, parallel=ParallelConfig(workers=1)
+        )
+        graph = build_pedigree_graph(dataset, result.entities)
+        store = SnapshotStore(tmp_path_factory.mktemp("memmap-bench"))
+        manifest = store.save(result, graph=graph, config=SnapsConfig())
+        eager = store.load(manifest.snapshot_id, artifacts=("graph", "indexes"))
+        mapped = store.load(
+            manifest.snapshot_id, artifacts=("graph", "indexes"), memmap=True
+        )
+        assert mapped.memmapped
+        return dataset, _app(eager), _app(mapped)
+
+    def test_search_bytes_identical_at_bench_scale(self, bench_apps):
+        dataset, eager_app, mapped_app = bench_apps
+        differing = []
+        for body in _bench_bodies(dataset, 300):
+            raw = json.dumps({**body, "top": 10}).encode("utf-8")
+            eager = eager_app.handle("POST", "/v1/search", {}, raw)
+            mapped = mapped_app.handle("POST", "/v1/search", {}, raw)
+            assert eager.status == mapped.status == 200
+            if eager.body != mapped.body:
+                differing.append(body)
+        assert differing == []
 
 
 class TestFallback:

@@ -70,13 +70,15 @@ def pool_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("obs-prop") / "trace.jsonl"
     trace = Trace(writer=TraceWriter(path))
     metrics = MetricsRegistry()
-    result = SnapsResolver(SnapsConfig()).resolve(
-        tiny,
-        trace=trace,
-        metrics=metrics,
-        # oversubscribe forces an actual pool even on a one-core box.
-        parallel=ParallelConfig(workers=2, oversubscribe=True),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # SNAPS_CPUS forces an actual pool even on a one-core box.
+        patch.setenv("SNAPS_CPUS", "4")
+        result = SnapsResolver(SnapsConfig()).resolve(
+            tiny,
+            trace=trace,
+            metrics=metrics,
+            parallel=ParallelConfig(workers=2),
+        )
     serial = SnapsResolver(SnapsConfig()).resolve(
         tiny, parallel=ParallelConfig(workers=0)
     )
@@ -98,6 +100,21 @@ class TestPoolPropagation:
             assert ancestry[0] == "resolve"
             # The direct parent is the pool's per-chunk wait span.
             assert ancestry[-1].startswith("parallel.")
+
+    def test_pooled_task_spans_record_the_real_wait(self, pool_run):
+        _, _, trace, _, _ = pool_run
+        tasks = [
+            span for span in spans_named(trace, "parallel.")
+            if ".chunk" in span.name
+        ]
+        assert tasks
+        for span in tasks:
+            # The wait happened in the supervisor: its span carries the
+            # measured submit-to-result time, not a zero-length marker,
+            # and never less than the worker's own run time beneath it.
+            assert span.elapsed > 0
+            [worker] = [c for c in span.children if c.name.startswith("worker.")]
+            assert span.elapsed >= worker.elapsed
 
     def test_worker_spans_ran_in_other_processes(self, pool_run):
         _, _, trace, _, _ = pool_run

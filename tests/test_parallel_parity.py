@@ -189,11 +189,11 @@ class TestResolveParity:
         )
         assert clusters_of(result) == clusters_of(serial)
 
-    def test_real_pool_matches_serial(self, tiny, serial):
-        # oversubscribe forces an actual ProcessPoolExecutor even on a
+    def test_real_pool_matches_serial(self, tiny, serial, pool_cpus):
+        # pool_cpus forces an actual ProcessPoolExecutor even on a
         # single-core machine, exercising fork payload shipping + IPC.
         result = SnapsResolver(SnapsConfig()).resolve(
-            tiny, parallel=ParallelConfig(workers=2, oversubscribe=True)
+            tiny, parallel=ParallelConfig(workers=2)
         )
         assert clusters_of(result) == clusters_of(serial)
 

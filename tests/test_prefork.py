@@ -227,8 +227,7 @@ class TestCacheSnapshotToken:
 
     def test_fork_inherited_cache_never_serves_other_snapshot_fresh(self):
         """A forked child rebinding to a new snapshot must treat every
-        inherited entry as stale, even though the inherited epoch
-        counter still matches — the regression the token exists for."""
+        inherited entry as stale — the regression the token exists for."""
         cache = LRUTTLCache(token="snap-a", keep_stale=True)
         cache.put("k", "pre-reload")
         pid = os.fork()

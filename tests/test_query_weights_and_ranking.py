@@ -1,7 +1,11 @@
 """Deeper query-engine behaviour: custom weights, ranking invariants,
 and extraction interaction."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pedigree import extract_pedigree
 from repro.query import Query, QueryEngine
@@ -84,6 +88,80 @@ class TestRankingInvariants:
         a = [h.entity.entity_id for h in tiny_query_engine.search(query, top_m=10)]
         b = [h.entity.entity_id for h in tiny_query_engine.search(query, top_m=10)]
         assert a == b
+
+
+class _ShuffledPostings:
+    """Wraps an index so every lookup hands back its ids (and every
+    similarity lookup its matches) in a seeded random order."""
+
+    def __init__(self, inner, rng: random.Random) -> None:
+        self._inner = inner
+        self._rng = rng
+
+    def _shuffled(self, items) -> list:
+        items = sorted(items)
+        self._rng.shuffle(items)
+        return items
+
+    def lookup(self, attribute, value):
+        return self._shuffled(self._inner.lookup(attribute, value))
+
+    def matches(self, value):
+        return self._shuffled(self._inner.matches(value))
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _ranking(engine, queries):
+    return [
+        [(hit.entity.entity_id, hit.score_percent) for hit in engine.search(q, top_m=5)]
+        for q in queries
+    ]
+
+
+@pytest.fixture(scope="module")
+def tie_queries(tiny_pedigree_graph):
+    """Name queries, exact and misspelled, plus refinements that create
+    many equal scores."""
+    named = [
+        e for e in tiny_pedigree_graph
+        if e.first("first_name") and e.first("surname")
+    ][:6]
+    queries = []
+    for entity in named:
+        first, surname = entity.first("first_name"), entity.first("surname")
+        queries.append(Query(first_name=first, surname=surname))
+        queries.append(Query(first_name=first[:-1] or first, surname=surname, gender="f"))
+        queries.append(Query(first_name=first, surname=surname, year_from=1850, year_to=1900))
+    return queries
+
+
+class TestTotalOrder:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_postings_order_never_changes_results(
+        self, tiny_query_engine, tie_queries, seed
+    ):
+        rng = random.Random(seed)
+        shuffled = QueryEngine(
+            tiny_query_engine.graph,
+            keyword_index=_ShuffledPostings(tiny_query_engine.keyword_index, rng),
+            sim_index={
+                attribute: _ShuffledPostings(index, rng)
+                for attribute, index in tiny_query_engine.sim_index.items()
+            },
+        )
+        assert _ranking(shuffled, tie_queries) == _ranking(
+            tiny_query_engine, tie_queries
+        )
+
+    def test_equal_scores_rank_by_entity_id(self, tiny_query_engine, tie_queries):
+        for query in tie_queries:
+            hits = tiny_query_engine.search(query, top_m=50)
+            for a, b in zip(hits, hits[1:]):
+                if a.attribute_scores == b.attribute_scores:
+                    assert a.entity.entity_id < b.entity.entity_id
 
 
 class TestSearchThenExtract:

@@ -151,36 +151,47 @@ class TestLRUTTLCache:
         assert cache.get_stale("a") is MISS
         assert len(cache) == 0
 
-    def test_bump_epoch_invalidates_without_keep_stale(self):
-        cache = LRUTTLCache(max_size=4, ttl_s=None)
+    def test_rebind_invalidates_without_keep_stale(self):
+        cache = LRUTTLCache(max_size=4, ttl_s=None, token="snap-a")
         cache.put("a", 1)
-        cache.bump_epoch()
+        cache.rebind("snap-b")
         assert cache.get("a") is MISS
         assert len(cache) == 0
         assert cache.stats()["invalidations"] == 1
 
-    def test_bump_epoch_keeps_entries_for_stale_path(self):
+    def test_rebind_keeps_entries_for_stale_path(self):
         """After a snapshot swap, predecessor results must not come back
         as fresh hits — only via the explicit stale (Warning: 110) path."""
         now = [0.0]
         cache = LRUTTLCache(
-            max_size=4, ttl_s=60.0, clock=lambda: now[0], keep_stale=True
+            max_size=4, ttl_s=60.0, clock=lambda: now[0], keep_stale=True,
+            token="snap-a",
         )
         cache.put("a", 1)
-        cache.bump_epoch()
-        now[0] = 2.0  # well within TTL: only the epoch expired it
+        cache.rebind("snap-b")
+        now[0] = 2.0  # well within TTL: only the rebind expired it
         assert cache.get("a") is MISS
         value, age_s = cache.get_stale("a")
         assert value == 1 and age_s == pytest.approx(2.0)
-        # Entries written after the bump are fresh again.
+        # Entries written after the rebind are fresh again.
         cache.put("b", 2)
         assert cache.get("b") == 2
 
-    def test_entries_written_after_bump_are_fresh(self):
+    def test_entries_written_after_rebind_are_fresh(self):
         cache = LRUTTLCache(max_size=4, ttl_s=None)
-        cache.bump_epoch()
+        cache.rebind("snap-b")
         cache.put("a", 1)
         assert cache.get("a") == 1
+
+    def test_put_under_a_rebound_away_token_is_never_fresh(self):
+        """A value computed on the old snapshot but stored after the
+        rebind keeps the old token, so it never comes back fresh."""
+        cache = LRUTTLCache(max_size=4, ttl_s=None, token="snap-a",
+                            keep_stale=True)
+        cache.rebind("snap-b")
+        cache.put("a", "old answer", token="snap-a")
+        assert cache.get("a") is MISS
+        assert cache.get_stale("a")[0] == "old answer"
 
 
 # ----------------------------------------------------------------------
@@ -687,6 +698,82 @@ class TestConcurrentSearch:
                     )
                 )
             assert parallel == serial
+
+
+# ----------------------------------------------------------------------
+# Reload racing an in-flight search (the stale-cache-after-reload defect)
+# ----------------------------------------------------------------------
+
+
+class TestReloadDuringSearch:
+    """A search computing on the old snapshot while ``/v1/reload`` swaps
+    in a new one must not leave its answer behind as a fresh cache hit
+    on the new snapshot."""
+
+    @pytest.fixture(scope="class")
+    def two_snapshots(self, tmp_path_factory, resolved_tiny, tiny_pedigree_graph):
+        from repro.core import SnapsConfig, SnapsResolver
+        from repro.data.synthetic import make_tiny_dataset
+        from repro.store import SnapshotStore
+
+        store = SnapshotStore(tmp_path_factory.mktemp("reload-race"))
+        old = store.save(resolved_tiny, graph=tiny_pedigree_graph)
+        new = store.save(
+            SnapsResolver(SnapsConfig()).resolve(make_tiny_dataset(seed=5))
+        )
+        return store, old.snapshot_id, new.snapshot_id
+
+    def _answer(self, store, snapshot_id, body):
+        loaded = store.load(snapshot_id, artifacts=("graph", "indexes"))
+        fresh = ServingApp(
+            loaded.graph, ServeConfig(cache_size=0),
+            keyword_index=loaded.keyword_index, sim_index=loaded.sim_index,
+        )
+        return fresh.handle("POST", "/v1/search", body=body).json()["matches"]
+
+    def test_slow_search_across_reload_never_caches_old_answer(
+        self, two_snapshots, tiny_pedigree_graph
+    ):
+        store, old_id, new_id = two_snapshots
+        probe = _named_entity(tiny_pedigree_graph)
+        body = (
+            f'{{"first_name": "{probe.first("first_name")}", '
+            f'"surname": "{probe.first("surname")}"}}'
+        ).encode()
+        old_answer = self._answer(store, old_id, body)
+        new_answer = self._answer(store, new_id, body)
+        assert old_answer != new_answer, "probe must tell the snapshots apart"
+
+        loaded = store.load(old_id, artifacts=("graph", "indexes"))
+        app = ServingApp(
+            loaded.graph, ServeConfig(),
+            keyword_index=loaded.keyword_index, sim_index=loaded.sim_index,
+            store=store, manifest=loaded.manifest,
+        )
+        real_search = app.engine.search
+        started, reloaded = threading.Event(), threading.Event()
+
+        def slow_search(query, top_m=10):
+            started.set()
+            assert reloaded.wait(timeout=10)
+            return real_search(query, top_m=top_m)
+
+        app.engine.search = slow_search
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            inflight = pool.submit(app.handle, "POST", "/v1/search", body=body)
+            assert started.wait(timeout=10)
+            reload = app.handle(
+                "POST", "/v1/reload", body=f'{{"snapshot": "{new_id}"}}'.encode()
+            )
+            assert reload.json()["status"] == "reloaded"
+            reloaded.set()
+            # The in-flight request still answers from the snapshot it
+            # started on...
+            assert inflight.result(timeout=10).json()["matches"] == old_answer
+        # ...but the repeat must miss, or return the new snapshot's answer.
+        repeat = app.handle("POST", "/v1/search", body=body).json()
+        assert repeat["cached"] is False
+        assert repeat["matches"] == new_answer
 
 
 # ----------------------------------------------------------------------

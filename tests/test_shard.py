@@ -46,6 +46,7 @@ from repro.store.shards import (
     verify_shard_sidecar,
     write_shard_sidecar,
 )
+from repro.supervise import SuperviseConfig, TaskQuarantinedError
 
 
 @pytest.fixture(scope="module")
@@ -233,19 +234,17 @@ class TestResolveShardedParity:
         assert sharded.n_boundary_pairs > 0
         assert clusters_of(sharded.result) == clusters_of(serial)
 
-    def test_real_pool_matches_serial(self, tiny, serial):
-        # oversubscribe forces an actual ProcessPoolExecutor even on a
+    def test_real_pool_matches_serial(self, tiny, serial, pool_cpus):
+        # pool_cpus forces an actual ProcessPoolExecutor even on a
         # single-core machine: fork shipping, IPC, result ordering.
-        sharded = resolve_sharded(
-            tiny, SnapsConfig(), n_shards=2, workers=2, oversubscribe=True
-        )
+        sharded = resolve_sharded(tiny, SnapsConfig(), n_shards=2, workers=2)
         assert clusters_of(sharded.result) == clusters_of(serial)
 
-    def test_telemetry_propagates_across_shards(self, tiny):
+    def test_telemetry_propagates_across_shards(self, tiny, pool_cpus):
         trace, metrics = Trace(), MetricsRegistry()
         sharded = resolve_sharded(
             tiny, SnapsConfig(), n_shards=2, trace=trace, metrics=metrics,
-            workers=2, oversubscribe=True,
+            workers=2,
         )
         counters = metrics.as_dict()["counters"]
         assert counters["shard.resolved"] == len(sharded.shard_stats)
@@ -254,6 +253,11 @@ class TestResolveShardedParity:
         assert counters["resolver.runs"] == len(sharded.shard_stats)
         spans = json.dumps([root.as_dict() for root in trace.roots])
         assert "shard.resolve.s0" in spans and "shard.resolve.s1" in spans
+        # Per-shard spans carry the measured wait, worker span beneath.
+        for shard in (0, 1):
+            wait = trace.find(f"shard.s{shard}")
+            assert wait.elapsed > 0
+            assert [c.name for c in wait.children] == [f"shard.resolve.s{shard}"]
 
     def test_shard_count_outside_config_fingerprint(self):
         # Shard count must never enter the fingerprint: checkpoints and
@@ -323,15 +327,19 @@ class TestCliByteIdentity:
         assert out.read_bytes() == serial_outputs[0]
 
     def test_checkpoint_taken_sharded_resumes_serial(
-        self, stem, serial_outputs, tmp_path
+        self, stem, serial_outputs, tmp_path, capsys
     ):
         ckdir, out = tmp_path / "ck", tmp_path / "graph.json"
-        with injected("shard.resolve.worker:error:times=1"):
-            with pytest.raises(InjectedFault):
-                main([
-                    "resolve", "--data", str(stem), "--shards", "2",
-                    "--checkpoint", str(ckdir), "--out", str(out),
-                ])
+        # A fault that outlives the retry budget quarantines the shard
+        # and aborts the run (the CLI reports TaskQuarantinedError and
+        # exits 2) — the same on one CPU and on many.
+        with injected("shard.resolve.worker:error:times=none"):
+            assert main([
+                "resolve", "--data", str(stem), "--shards", "2",
+                "--checkpoint", str(ckdir), "--out", str(out),
+                "--quarantine-dir", str(tmp_path / "quarantine"),
+            ]) == 2
+        assert "supervised execution error" in capsys.readouterr().err
         assert not out.exists()
         assert main([
             "resolve", "--resume", str(ckdir), "--workers", "0",
@@ -350,10 +358,13 @@ class TestChaosShardWorker:
         config = SnapsConfig()
         ckdir = tmp_path / "ck"
         checkpoint = ResolveCheckpointer.begin(ckdir, tiny, config)
-        with injected("shard.resolve.worker:error:times=1"):
-            with pytest.raises(InjectedFault):
+        supervise = SuperviseConfig(quarantine_dir=str(tmp_path / "q"))
+        # The worker keeps dying past its retry budget: quarantine aborts.
+        with injected("shard.resolve.worker:error:times=none"):
+            with pytest.raises(TaskQuarantinedError):
                 resolve_sharded(
-                    tiny, config, n_shards=2, checkpoint=checkpoint
+                    tiny, config, n_shards=2, checkpoint=checkpoint,
+                    parallel=ParallelConfig(supervise=supervise),
                 )
         # Blocking survived the crash; the rerun restores it and must
         # reproduce the serial clusters exactly.
@@ -367,30 +378,48 @@ class TestChaosShardWorker:
         )
         assert clusters_of(sharded.result) == clusters_of(reference)
 
-    def test_worker_error_in_real_pool_is_retried_to_parity(self, tiny):
-        # Supervised execution (PR 9): a transient in-worker error no
-        # longer kills the run — the shard is re-executed and the output
-        # still matches serial exactly.
+    def test_worker_error_in_real_pool_is_retried_to_parity(
+        self, tiny, pool_cpus
+    ):
+        # Supervised execution: a transient in-worker error does not
+        # kill the run — the shard is re-executed and the output still
+        # matches serial exactly.
         with injected("shard.resolve.worker:error:times=1"):
             # fork inherits the installed injector into pool workers
             sharded = resolve_sharded(
                 tiny, SnapsConfig(), n_shards=2, workers=2,
-                oversubscribe=True,
             )
         reference = SnapsResolver(SnapsConfig()).resolve(
             tiny, parallel=ParallelConfig(workers=0)
         )
         assert clusters_of(sharded.result) == clusters_of(reference)
 
-    def test_worker_error_past_budget_fails_loudly(self, tiny):
-        from repro.supervise import SuperviseConfig, TaskQuarantinedError
+    @pytest.mark.parametrize("cpus", ["1", "4"])
+    def test_transient_error_retried_to_parity_at_any_cpu_count(
+        self, tiny, cpus, monkeypatch
+    ):
+        """One CPU (in-process) and four (fork pool) share one attempt
+        loop, so a one-off worker error is retried to parity on both."""
+        monkeypatch.setenv("SNAPS_CPUS", cpus)
+        metrics = MetricsRegistry()
+        with injected("shard.resolve.worker:error:times=1"):
+            sharded = resolve_sharded(
+                tiny, SnapsConfig(), n_shards=2, metrics=metrics,
+            )
+        reference = SnapsResolver(SnapsConfig()).resolve(
+            tiny, parallel=ParallelConfig(workers=0)
+        )
+        assert clusters_of(sharded.result) == clusters_of(reference)
+        assert metrics.counter_value("supervise.retries") >= 1
 
-        supervise = SuperviseConfig(max_task_retries=0)
+    def test_worker_error_past_budget_fails_loudly(self, tiny, tmp_path):
+        supervise = SuperviseConfig(
+            max_task_retries=0, quarantine_dir=str(tmp_path)
+        )
         with injected("shard.resolve.worker:error:times=none"):
             with pytest.raises(TaskQuarantinedError):
                 resolve_sharded(
                     tiny, SnapsConfig(), n_shards=2, workers=2,
-                    oversubscribe=True,
                     parallel=ParallelConfig(supervise=supervise),
                 )
 

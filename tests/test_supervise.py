@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import errno
 import json
-import multiprocessing as mp
 import os
 import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -44,6 +42,8 @@ from repro.supervise import (
     SupervisedExecutor,
     SuperviseConfig,
     TaskQuarantinedError,
+    available_cpus,
+    run_tasks,
 )
 
 N_TOY_TASKS = 5
@@ -51,15 +51,6 @@ N_TOY_TASKS = 5
 
 def square(task):
     return {"chunk": task["chunk"], "value": task["x"] * task["x"]}
-
-
-def _factory(workers):
-    def make():
-        return ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp.get_context("fork")
-        )
-
-    return make
 
 
 @pytest.fixture
@@ -74,7 +65,7 @@ def toy_expected():
 
 def _run_toy(tasks, config, workers=2, metrics=None):
     with SupervisedExecutor(
-        _factory(workers), config, metrics=metrics, label="toy"
+        config, workers=workers, metrics=metrics, label="toy"
     ) as executor:
         return executor.map(square, tasks, "toy")
 
@@ -190,6 +181,105 @@ class TestSupervisedExecutor:
 
 
 # ----------------------------------------------------------------------
+# run_tasks: one attempt loop whatever the machine shape
+# ----------------------------------------------------------------------
+
+
+def square_with_pid(task):
+    return {**square(task), "pid": os.getpid()}
+
+
+def timed_square(task):
+    return {**square(task), "elapsed": 0.0}
+
+
+class TestRunTasks:
+    def test_snaps_cpus_overrides_the_probe(self, monkeypatch):
+        monkeypatch.setenv("SNAPS_CPUS", "3")
+        assert available_cpus() == 3
+        monkeypatch.setenv("SNAPS_CPUS", "0")
+        assert available_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "cpus, pooled", [("1", False), ("4", True)]
+    )
+    def test_pool_only_from_two_processes(
+        self, cpus, pooled, toy_tasks, monkeypatch
+    ):
+        monkeypatch.setenv("SNAPS_CPUS", cpus)
+        out = run_tasks(square_with_pid, toy_tasks, label="toy", workers=4)
+        assert [r["value"] for r in out] == [i * i for i in range(N_TOY_TASKS)]
+        in_parent = {r["pid"] for r in out} == {os.getpid()}
+        assert in_parent is not pooled
+        # One task never needs a pool, whatever the CPU count.
+        single = run_tasks(square_with_pid, toy_tasks[:1], label="toy", workers=4)
+        assert single[0]["pid"] == os.getpid()
+
+    @pytest.mark.parametrize("cpus", ["1", "4"])
+    def test_transient_fault_is_retried_either_way(
+        self, cpus, toy_tasks, toy_expected, monkeypatch
+    ):
+        monkeypatch.setenv("SNAPS_CPUS", cpus)
+        metrics = MetricsRegistry()
+        with injected("supervise.task.toy.t3.a0:error"):
+            out = run_tasks(
+                timed_square, toy_tasks, label="toy", workers=2,
+                metrics=metrics,
+            )
+        assert [{"chunk": r["chunk"], "value": r["value"]} for r in out] == (
+            toy_expected
+        )
+        assert metrics.counter_value("supervise.retries") == 1
+        assert metrics.counter_value("supervise.tasks") == N_TOY_TASKS
+        assert metrics.counter_value("parallel.chunks") == N_TOY_TASKS
+
+    @pytest.mark.parametrize("cpus", ["1", "4"])
+    def test_exhausted_budget_quarantines_either_way(
+        self, cpus, toy_tasks, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("SNAPS_CPUS", cpus)
+        config = SuperviseConfig(
+            max_task_retries=1, quarantine_dir=str(tmp_path),
+            on_quarantine="skip",  # run_tasks always aborts regardless
+        )
+        with injected("supervise.task.toy.t2.a*:error:times=none"):
+            with pytest.raises(TaskQuarantinedError) as excinfo:
+                run_tasks(
+                    square, toy_tasks, label="toy", workers=2,
+                    supervise=config,
+                )
+        assert excinfo.value.attempts == config.attempt_budget
+        assert "chunk 2" in str(excinfo.value)
+        assert (tmp_path / "tasks.jsonl").exists()
+
+    def test_in_process_permanent_error_quarantines_immediately(
+        self, toy_tasks, tmp_path
+    ):
+        config = SuperviseConfig(
+            max_task_retries=3, quarantine_dir=str(tmp_path)
+        )
+        with injected("supervise.task.toy.t2.a*:error:category=permanent"):
+            with pytest.raises(TaskQuarantinedError) as excinfo:
+                with SupervisedExecutor(config, label="toy") as executor:
+                    executor.map(square, toy_tasks)
+        assert excinfo.value.attempts == 1
+
+    def test_in_process_skip_policy_degrades_to_none_slot(
+        self, toy_tasks, tmp_path
+    ):
+        config = SuperviseConfig(
+            max_task_retries=0,
+            quarantine_dir=str(tmp_path),
+            on_quarantine="skip",
+        )
+        with injected("supervise.task.toy.t1.a*:error:times=none"):
+            with SupervisedExecutor(config, label="toy") as executor:
+                out = executor.map(square, toy_tasks)
+        assert out[1] is None
+        assert out[0] == {"chunk": 0, "value": 0}
+
+
+# ----------------------------------------------------------------------
 # Chaos sweep: kill/hang at every task index, workers in {2, 4}
 # ----------------------------------------------------------------------
 
@@ -252,6 +342,7 @@ def serial_clusters(chaos_dataset):
     return clusters_of(result)
 
 
+@pytest.mark.usefixtures("pool_cpus")
 class TestResolutionCrashParity:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_shard_crash_at_every_shard(
@@ -268,7 +359,6 @@ class TestResolutionCrashParity:
                     n_shards=n_shards,
                     workers=n_shards,
                     metrics=metrics,
-                    oversubscribe=True,
                 )
             assert clusters_of(sharded.result) == serial_clusters
             restarts = metrics.counter_value("supervise.restarts")
@@ -280,7 +370,7 @@ class TestResolutionCrashParity:
             result = SnapsResolver(SnapsConfig()).resolve(
                 chaos_dataset,
                 metrics=metrics,
-                parallel=ParallelConfig(workers=2, oversubscribe=True),
+                parallel=ParallelConfig(workers=2),
             )
         assert clusters_of(result) == serial_clusters
         assert metrics.counter_value("supervise.restarts") == 1
@@ -292,9 +382,7 @@ class TestResolutionCrashParity:
             result = SnapsResolver(SnapsConfig()).resolve(
                 chaos_dataset,
                 metrics=metrics,
-                parallel=ParallelConfig(
-                    workers=2, oversubscribe=True, supervise=supervise
-                ),
+                parallel=ParallelConfig(workers=2, supervise=supervise),
             )
         assert clusters_of(result) == serial_clusters
         assert metrics.counter_value("supervise.hung_tasks") >= 1
@@ -312,7 +400,6 @@ class TestResolutionCrashParity:
                     SnapsConfig(),
                     n_shards=2,
                     workers=2,
-                    oversubscribe=True,
                     parallel=ParallelConfig(supervise=supervise),
                 )
         assert "shard 1" in str(excinfo.value)
@@ -475,9 +562,8 @@ class TestGracefulStop:
 
 class TestCliSupervision:
     def test_crash_injection_via_cli_is_byte_identical(
-        self, stem, clean_graph, tmp_path, monkeypatch
+        self, stem, clean_graph, tmp_path, pool_cpus
     ):
-        monkeypatch.setenv("SNAPS_OVERSUBSCRIBE", "1")
         out = tmp_path / "graph.json"
         with injected("supervise.task.score.t0.a0:worker_crash"):
             code = main([
@@ -488,9 +574,8 @@ class TestCliSupervision:
         assert out.read_bytes() == clean_graph
 
     def test_quarantine_flags_reach_the_executor(
-        self, stem, tmp_path, monkeypatch, capsys
+        self, stem, tmp_path, capsys
     ):
-        monkeypatch.setenv("SNAPS_OVERSUBSCRIBE", "1")
         qdir = tmp_path / "quarantine"
         with injected("supervise.task.score.t0.a*:error:times=none"):
             code = main([
