@@ -1,6 +1,6 @@
 # Developer entry points for the SNAPS reproduction.
 
-.PHONY: install test verify serve-smoke prefork-smoke stream-smoke obs-smoke shard-smoke supervise-smoke cpus-matrix chaos bench bench-full examples clean
+.PHONY: install test verify serve-smoke prefork-smoke stream-smoke obs-smoke shard-smoke supervise-smoke cpus-matrix perfbench-smoke chaos bench bench-full examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -184,6 +184,21 @@ supervise-smoke:
 		&& exit 1 || test $$? -eq 2; \
 	grep -q "free disk space" $(SUPERVISE_TMP)/enospc.err; \
 	test ! -d $(SUPERVISE_TMP)/store/snapshots || test -z "$$(ls -A $(SUPERVISE_TMP)/store/snapshots)"
+
+# Benchmark gate: the benchmark's own helper tests, then one short traced
+# run of the end-to-end benchmark on the ios workload.  The traced run
+# imports resolver and serving internals by name, so a src/ change can
+# break it; it must end in "correct": true (every served body matched
+# the in-process reference).  About a minute on a 2-vCPU box.
+PERFBENCH_OUT = /tmp/snaps-perfbench-smoke.json
+
+perfbench-smoke:
+	python -m pytest -q perfbench/tests
+	python perfbench/run.py --workload ios --seed 1 --seconds 6 --trace 1 \
+		> $(PERFBENCH_OUT); status=$$?; cat $(PERFBENCH_OUT); test $$status -eq 0
+	tail -n 1 $(PERFBENCH_OUT) | python -c "import json, sys; \
+		sys.exit(0 if json.load(sys.stdin)['correct'] is True \
+		else 'perfbench-smoke: the run did not end in \"correct\": true')"
 
 # The full evaluation harness: one bench per paper table/figure plus the
 # design-choice ablations.  REPRO_BENCH_SCALE=1.0 approximates paper-sized

@@ -1,4 +1,4 @@
-"""Serving throughput — threaded baseline vs the pre-fork tier.
+"""Serving throughput — single-process baseline vs the pre-fork tier.
 
 Beyond the paper's Table 7 (single-threaded query latency), this bench
 drives the full serving stack over real sockets with **multiple client
@@ -7,7 +7,8 @@ serialise on the GIL exactly when the server stops being the
 bottleneck) and compares two deployment shapes on one identical
 snapshot:
 
-- the single-process ``ThreadingHTTPServer`` baseline, and
+- the single-process baseline (``make_server``: the same HTTP front the
+  workers run, without a master), and
 - ``repro.serve.prefork`` fleets of 1, 2, and 4 workers sharing the
   memory-mapped snapshot and one listening socket.
 
@@ -214,8 +215,8 @@ def test_serving_throughput(benchmark):
 
         def run_all():
             results = {}
-            # Threaded baseline: same snapshot, eager arrays, one
-            # process, thread-per-connection.
+            # Single-process baseline: same snapshot, eager arrays, the
+            # workers' HTTP front without a master.
             loaded = SnapshotStore(store_dir).load(
                 artifacts=("graph", "indexes")
             )
@@ -234,7 +235,7 @@ def test_serving_throughput(benchmark):
             try:
                 base_url = f"http://{host}:{port}"
                 probe_body = _post_search(base_url, *probe)
-                results["threaded"] = (
+                results["single-process"] = (
                     *_drive_processes(base_url, queries, seed=37),
                     [],
                 )
@@ -315,8 +316,8 @@ def test_serving_throughput(benchmark):
         cpus = os.cpu_count() or 1
         if cpus >= 4:
             assert (
-                results["prefork_w4"][1] > 1.5 * results["threaded"][1]
-            ), "4 workers on >=4 cores should clearly beat the threaded server"
+                results["prefork_w4"][1] > 1.5 * results["single-process"][1]
+            ), "4 workers on >=4 cores should clearly beat one process"
         if cpus >= 2:
             assert (
                 results["prefork_w2"][1] > results["prefork_w1"][1] * 0.9

@@ -274,20 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0, metavar="N",
         help="pre-fork N worker processes sharing one memory-mapped "
         "snapshot and one listening socket (requires --snapshot; "
-        "0 = classic single-process threaded server)",
-    )
-    serve.add_argument(
-        "--prefork", action="store_true",
-        help="shorthand for --workers <cpu count>",
-    )
-    serve.add_argument(
-        "--reuse-port", action="store_true",
-        help="per-worker SO_REUSEPORT sockets instead of one inherited "
-        "listening fd (prefork mode only)",
+        "0 = one serving process)",
     )
     serve.add_argument(
         "--run-dir", metavar="DIR",
-        help="prefork scratch directory for heartbeats/control/metrics "
+        help="pre-fork scratch directory for heartbeats/control/metrics "
         "files (default: private tempdir)",
     )
     add_telemetry_flags(serve)
@@ -870,80 +861,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_prefork(args: argparse.Namespace, workers: int) -> int:
-    from repro.serve import PreforkConfig, PreforkMaster, ServeConfig
-
-    serve_config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-        cache_ttl_s=args.cache_ttl or None,
-        max_concurrency=args.max_concurrency,
-        max_pending=args.max_pending,
-        queue_timeout_s=args.queue_timeout,
-        request_timeout_s=args.request_timeout or None,
-        use_geographic_distance=args.geo,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-        slo_availability=args.slo_availability,
-        slo_latency_target=args.slo_latency_target,
-        slo_deadline_s=args.slo_deadline,
-        slo_window_s=args.slo_window,
-    )
-    master = PreforkMaster(
-        args.snapshot,
-        config=PreforkConfig(
-            workers=workers,
-            reuse_port=args.reuse_port,
-            run_dir=args.run_dir,
-        ),
-        serve_config=serve_config,
-    )
-    print(
-        f"prefork master: {workers} workers on "
-        f"http://{args.host}:{args.port} (snapshot store {args.snapshot}, "
-        f"run dir {master.run_dir}) — Ctrl-C to stop",
-        file=sys.stderr,
-    )
-    try:
-        master.start()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import MetricsRegistry
     from repro.pedigree import load_pedigree_graph
-    from repro.serve import ServeConfig, ServingApp, make_server
+    from repro.serve import (
+        PreforkConfig,
+        PreforkMaster,
+        ServeConfig,
+        ServingApp,
+        make_server,
+    )
 
-    workers = args.workers
-    if args.prefork and not workers:
-        workers = os.cpu_count() or 1
-    if workers:
-        if not args.snapshot:
-            print(
-                "error: --workers/--prefork requires --snapshot (the "
-                "workers share one memory-mapped snapshot)",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_serve_prefork(args, workers)
-    store = None
-    if args.snapshot:
-        # Warm start: the snapshot carries the graph and both prebuilt
-        # indexes, so boot performs no index construction at all.  The
-        # store stays attached so POST /v1/reload can pick up new
-        # snapshots without a restart.
-        from repro.store import SnapshotStore
-
-        store = SnapshotStore(args.snapshot)
-        graph, keyword_index, sim_index, manifest = _load_snapshot_engine_parts(
-            args.snapshot
-        )
-    else:
-        graph = load_pedigree_graph(args.graph)
-        keyword_index = sim_index = manifest = None
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -961,6 +889,45 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_deadline_s=args.slo_deadline,
         slo_window_s=args.slo_window,
     )
+    if args.workers:
+        if not args.snapshot:
+            print(
+                "error: --workers requires --snapshot (the workers share "
+                "one memory-mapped snapshot)",
+                file=sys.stderr,
+            )
+            return 2
+        master = PreforkMaster(
+            args.snapshot,
+            config=PreforkConfig(workers=args.workers, run_dir=args.run_dir),
+            serve_config=config,
+        )
+        print(
+            f"prefork master: {args.workers} workers on "
+            f"http://{args.host}:{args.port} (snapshot store {args.snapshot}, "
+            f"run dir {master.run_dir}) — Ctrl-C to stop",
+            file=sys.stderr,
+        )
+        try:
+            master.start()
+        except KeyboardInterrupt:
+            pass
+        return 0
+    store = None
+    if args.snapshot:
+        # Warm start: the snapshot carries the graph and both prebuilt
+        # indexes, so boot performs no index construction at all.  The
+        # store stays attached so POST /v1/reload can pick up new
+        # snapshots without a restart.
+        from repro.store import SnapshotStore
+
+        store = SnapshotStore(args.snapshot)
+        graph, keyword_index, sim_index, manifest = _load_snapshot_engine_parts(
+            args.snapshot
+        )
+    else:
+        graph = load_pedigree_graph(args.graph)
+        keyword_index = sim_index = manifest = None
     # /metricz always needs a live registry; the --trace/--metrics-out
     # flags only control what is emitted at shutdown.
     _, metrics = _telemetry(args)

@@ -4,20 +4,22 @@ For every string value in the keyword index, pre-compute all other values
 of the same attribute that share at least one bigram and have
 Jaro-Winkler similarity ≥ ``s_t``; store those neighbour lists with their
 similarities.  At query time an unseen value is compared only against
-values sharing a bigram, and the result is *cached back into S* so
-repeated queries of the same misspelling are instant (paper Section 7).
+values sharing a bigram.  Unlike the paper's Section 7, that result is
+*not* cached back into S: S is read-only once built, so distinct
+misspellings cannot grow it without limit, and repeated queries are
+answered by the serving layer's bounded result cache instead.
 
-Thread safety: after ``__init__`` the value universe and bigram index are
-never mutated — only the neighbour cache grows, under a lock, when
-:meth:`matches` sees an unseen value.  Concurrent searches (the
-``repro.serve`` subsystem runs many per process) may race to compute the
-same unseen value; both arrive at the identical list and the second
-write is a harmless overwrite.
+Thread safety: concurrent searches (``repro.serve`` runs many per
+process) share one index without a lock.  The only write after
+construction is lazy mode (``precompute=False``) filling a universe
+value's list on first lookup; racing threads compute the same list and
+a single dict store is atomic.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 import numpy as np
 
@@ -51,11 +53,9 @@ class SimilarityAwareIndex:
                 self._gram_index.setdefault(gram, []).append(value)
         # value -> [(neighbour, similarity)] with similarity >= threshold,
         # sorted by descending similarity.  The value itself is included
-        # with similarity 1.0 so lookups need no special case.  Writes
-        # after construction (query-time caching of unseen values) take
-        # _cache_lock; the stored lists are never mutated in place.
+        # with similarity 1.0 so lookups need no special case.  Keys are
+        # universe values only; the stored lists are never mutated.
         self._neighbours: dict[str, list[tuple[str, float]]] = {}
-        self._cache_lock = threading.Lock()
         if precompute:
             for value in self._values:
                 self._neighbours[value] = self._compute_neighbours(value)
@@ -65,10 +65,9 @@ class SimilarityAwareIndex:
     # ------------------------------------------------------------------
 
     def neighbour_state(self) -> dict[str, list[tuple[str, float]]]:
-        """Copy of every stored neighbour list (including query-time
-        cached entries), for serialisation into a snapshot."""
-        with self._cache_lock:
-            return {key: list(pairs) for key, pairs in self._neighbours.items()}
+        """Copy of every stored neighbour list, for serialisation into a
+        snapshot."""
+        return {key: list(pairs) for key, pairs in self._neighbours.copy().items()}
 
     @classmethod
     def from_precomputed(
@@ -91,6 +90,11 @@ class SimilarityAwareIndex:
 
     # ------------------------------------------------------------------
 
+    def _is_value(self, value: str) -> bool:
+        """Whether ``value`` is in the (sorted) value universe."""
+        row = bisect_left(self._values, value)
+        return row < len(self._values) and str(self._values[row]) == value
+
     def _candidates(self, value: str) -> set[str]:
         out: set[str] = set()
         for gram in bigrams(value):
@@ -106,7 +110,7 @@ class SimilarityAwareIndex:
             )
             if similarity >= self.threshold:
                 scored.append((candidate, similarity))
-        if value in self._values and all(v != value for v, _ in scored):
+        if all(v != value for v, _ in scored) and self._is_value(value):
             scored.append((value, 1.0))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored
@@ -117,20 +121,18 @@ class SimilarityAwareIndex:
         """Indexed values similar to ``value`` with their similarities.
 
         Known values answer from the pre-computed lists; unseen values are
-        resolved against bigram-sharing candidates and the result is
-        cached into the index for future queries (the paper's Section 7
-        behaviour).
+        resolved against bigram-sharing candidates on every call and
+        leave the index unchanged.
         """
         value = value.lower()
-        cached = self._neighbours.get(value)
-        if cached is None:
-            # Compute outside the lock (pure function of immutable
-            # state); racing threads compute identical lists, so the
-            # last write winning is safe.
-            cached = self._compute_neighbours(value)
-            with self._cache_lock:
-                self._neighbours[value] = cached
-        return list(cached)
+        stored = self._neighbours.get(value)
+        if stored is not None:
+            return list(stored)
+        computed = self._compute_neighbours(value)
+        if self._is_value(value):
+            # Lazy mode: a universe value's list, bounded by the universe.
+            self._neighbours[value] = computed
+        return list(computed)
 
     def __contains__(self, value: str) -> bool:
         return value.lower() in self._neighbours
@@ -141,8 +143,7 @@ class SimilarityAwareIndex:
 
     def n_precomputed_pairs(self) -> int:
         """Total stored (value, neighbour) similarity entries."""
-        with self._cache_lock:
-            return sum(len(v) for v in self._neighbours.values())
+        return sum(len(v) for v in self._neighbours.copy().values())
 
 
 class MemmapSimilarityIndex(SimilarityAwareIndex):
@@ -154,11 +155,12 @@ class MemmapSimilarityIndex(SimilarityAwareIndex):
     views looked up by binary search over the sorted key array; only
     *unseen* query values (misspellings outside the universe) fall back
     to the eager path, which lazily builds the bigram inverted index on
-    first need and caches the computed list exactly like the parent.
+    first need.  Like the parent, an unseen value's list is computed per
+    call and never stored.
 
     A pre-fork serving master maps the arrays once and forks, so workers
-    share the pages; per-worker private memory holds only the lazy
-    query-time cache.
+    share the pages; per-worker private memory holds only the lazily
+    built bigram index.
     """
 
     def __init__(
@@ -180,10 +182,6 @@ class MemmapSimilarityIndex(SimilarityAwareIndex):
         self._nb_offsets = nb_offsets    # int64, len(nb_keys) + 1
         self._nb_targets = nb_targets    # unicode, flattened lists
         self._nb_sims = nb_sims          # float64, parallel to targets
-        # Query-time cache of values not in the precomputed key array;
-        # same contract as the parent's _neighbours growth.
-        self._neighbours = {}
-        self._cache_lock = threading.Lock()
         # Bigram index is only needed for unseen values: build lazily so
         # a fork-shared worker that never sees a misspelling pays nothing.
         self._gram_index = None
@@ -222,29 +220,17 @@ class MemmapSimilarityIndex(SimilarityAwareIndex):
         row = self._mapped_row(value)
         if row is not None:
             return self._mapped_list(row)
-        cached = self._neighbours.get(value)
-        if cached is None:
-            cached = self._compute_neighbours(value)
-            with self._cache_lock:
-                self._neighbours[value] = cached
-        return list(cached)
+        return self._compute_neighbours(value)
 
     def __contains__(self, value: str) -> bool:
-        value = value.lower()
-        return self._mapped_row(value) is not None or value in self._neighbours
+        return self._mapped_row(value.lower()) is not None
 
     def neighbour_state(self) -> dict[str, list[tuple[str, float]]]:
-        """Materialise every stored list (mapped + query-time cached)."""
-        out = {
+        """Materialise every stored (mapped) list."""
+        return {
             str(key): self._mapped_list(row)
             for row, key in enumerate(self._nb_keys)
         }
-        with self._cache_lock:
-            for key, pairs in self._neighbours.items():
-                out.setdefault(key, list(pairs))
-        return out
 
     def n_precomputed_pairs(self) -> int:
-        with self._cache_lock:
-            cached = sum(len(v) for v in self._neighbours.values())
-        return int(self._nb_offsets[-1]) + cached
+        return int(self._nb_offsets[-1])

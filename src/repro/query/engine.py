@@ -16,8 +16,9 @@ The paper's Section 7 pipeline:
 Thread safety (audited for the ``repro.serve`` subsystem): after
 ``__init__`` builds the indexes, :meth:`QueryEngine.search` touches only
 per-call local state (the accumulator, the top-k heap), the read-only
-:class:`~repro.index.keyword.KeywordIndex`, the internally locked
-:class:`~repro.index.simindex.SimilarityAwareIndex` query cache, and the
+:class:`~repro.index.keyword.KeywordIndex` and
+:class:`~repro.index.simindex.SimilarityAwareIndex` (an unseen value's
+neighbours are computed per call, never written back), and the
 thread-safe :class:`~repro.obs.metrics.MetricsRegistry` — so concurrent
 ``search()`` calls on one engine are safe **provided the engine's
 ``trace`` is the default disabled one**.  An *enabled*

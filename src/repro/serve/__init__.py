@@ -3,15 +3,17 @@
 ``repro.serve`` turns the reproduction from a one-shot CLI into a
 long-lived service: a :class:`~repro.serve.app.ServingApp` loads a
 resolved pedigree graph once, builds the query indexes once, and answers
-concurrent JSON requests from a ``ThreadingHTTPServer`` — with an LRU+TTL
-result cache (:mod:`repro.serve.cache`), a bounded concurrency gate
+concurrent JSON requests from one asyncio HTTP/1.1 front
+(:func:`~repro.serve.app.serve`) — with an LRU+TTL result cache
+(:mod:`repro.serve.cache`), a bounded concurrency gate
 (:mod:`repro.serve.admission`), per-endpoint latency histograms and
 request span trees via :mod:`repro.obs`, and a stdlib client
 (:mod:`repro.serve.client`).  For multi-core machines,
-:mod:`repro.serve.prefork` scales the same app across N forked worker
-processes sharing one memory-mapped snapshot and one listening socket,
-with request coalescing (:mod:`repro.serve.coalesce`) deduplicating
-identical in-flight queries.  Start it with ``repro serve`` or embed it:
+:mod:`repro.serve.prefork` runs the same app and the same front in N
+forked worker processes sharing one memory-mapped snapshot and one
+listening socket, with request coalescing (:mod:`repro.serve.coalesce`)
+deduplicating identical in-flight queries.  Start it with ``repro serve``
+or embed it:
 
 >>> from repro.serve import ServeConfig, ServingApp, make_server  # doctest: +SKIP
 >>> app = ServingApp(graph, ServeConfig(cache_size=512))          # doctest: +SKIP

@@ -1,8 +1,8 @@
 """Admission control: a bounded concurrency gate with deadlines.
 
-A ``ThreadingHTTPServer`` spawns one thread per connection, so without a
-gate a traffic burst turns into an unbounded pile of concurrent searches
-all thrashing the same indexes.  The controller enforces two limits:
+Without a gate a traffic burst turns into an unbounded pile of
+concurrent searches all thrashing the same indexes.  The controller
+enforces two limits:
 
 * at most ``max_concurrency`` requests *executing* at once (a semaphore);
 * at most ``max_pending`` further requests *waiting* for a slot — anyone

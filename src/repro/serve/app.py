@@ -1,4 +1,4 @@
-"""The serving application: routes, HTTP plumbing, telemetry.
+"""The serving application: routes, the HTTP front, telemetry.
 
 SNAPS's online phase (paper Section 7, Figure 5) is a web form backed by
 the keyword index ``K`` and similarity index ``S``.  :class:`ServingApp`
@@ -7,10 +7,13 @@ builds the :class:`~repro.query.engine.QueryEngine` indexes **once**,
 and then answers concurrent JSON requests forever — in contrast to the
 ``repro query`` CLI which pays the full index build on every invocation.
 
-The app is deliberately split from the HTTP server: ``handle()`` maps a
+The app is deliberately split from the HTTP front: ``handle()`` maps a
 ``(method, path, params, body)`` tuple to a :class:`Response`, so route
-logic is unit-testable without sockets, and the thin
-``BaseHTTPRequestHandler`` adapter only does wire I/O.  Endpoints:
+logic is unit-testable without sockets.  :func:`serve`, an asyncio
+HTTP/1.1 front running ``handle()`` on a thread pool sized past the
+admission gate (so overload is shed with 429/503), is the one
+wire adapter of every serving mode: ``make_server`` for one process,
+and each pre-fork worker.  Endpoints:
 
 * ``POST /v1/search`` — ranked matches for a JSON query body;
 * ``GET /v1/pedigree/<id>?generations=N&format=json|ascii|dot|gedcom``;
@@ -38,13 +41,17 @@ half-opens and lets one live probe through; a success closes it and
 
 from __future__ import annotations
 
+import asyncio
 import json
+import signal
+import socket
 import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import responses as _REASONS
 from urllib.parse import parse_qs, urlsplit
 
 from repro.faults import (
@@ -706,56 +713,240 @@ class ServingApp:
 
 
 # ----------------------------------------------------------------------
-# HTTP plumbing
+# HTTP front: one asyncio HTTP/1.1 front for every serving mode
 # ----------------------------------------------------------------------
 
+# Front threads beyond the gate's slots + pending places: with those all
+# taken, overflow still reaches the gate (429/503) and /healthz answers.
+_SPARE_THREADS = 2
+# asyncio.StreamReader's default line limit: a longer request line is
+# answered 414, a longer header line 431.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+# Search and reload bodies are small JSON documents.
+MAX_BODY_BYTES = 1024 * 1024
+# How long a rejected request's unread input is read and dropped before
+# the close: closing on unread bytes sends a reset, which can destroy the
+# 4xx before the client reads it.
+_LINGER_S = 1.0
 
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Wire adapter: parse the request line, delegate to the app."""
 
-    server_version = "snaps-serve/1"
-    protocol_version = "HTTP/1.1"
+class _Malformed(Exception):
+    """``(status, message)`` for a request whose framing cannot be parsed."""
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("GET")
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        self._dispatch("POST")
+def _encode_response(response: Response, keep_alive: bool) -> bytes:
+    """Status line, headers and body as one buffer for one ``write``.
 
-    def _dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
-        params = {k: v[0] for k, v in parse_qs(split.query).items()}
-        body: bytes | None = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
-        app: ServingApp = self.server.app  # type: ignore[attr-defined]
-        response = app.handle(method, split.path, params, body)
+    A head sent apart from its body makes every follow-up request on a
+    keep-alive connection wait for the client's delayed ACK (~40 ms).
+    """
+    reason = _REASONS.get(response.status, "Unknown")
+    head = [
+        f"HTTP/1.1 {response.status} {reason}",
+        f"Content-Type: {response.content_type}",
+        f"Content-Length: {len(response.body)}",
+        *(f"{name}: {value}" for name, value in response.headers.items()),
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + response.body
+
+
+async def _read_request(reader: asyncio.StreamReader):
+    """``(method, target, version, headers, body)`` of the next request,
+    or None at the end of the stream; raises :class:`_Malformed`."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # over the reader's line limit
+        raise _Malformed(414, "request line too long") from None
+    if not line or line in (b"\r\n", b"\n"):
+        return None
+    parts = line.decode("latin-1").split()
+    if len(parts) != 3:
+        raise _Malformed(400, "malformed request line")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
         try:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(response.body)))
-            for name, value in response.headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(response.body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            logger.debug("client dropped connection on %s %s", method, self.path)
+            raw = await reader.readline()
+        except ValueError:
+            raise _Malformed(431, "header line too long") from None
+        if not raw or raw in (b"\r\n", b"\n"):
+            break
+        name, _, value = raw.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    else:
+        raise _Malformed(431, f"more than {MAX_HEADERS} header fields")
+    raw_length = headers.get("content-length", "0")
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _Malformed(400, f"invalid Content-Length: {raw_length!r}")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise _Malformed(413, f"request body over {MAX_BODY_BYTES} bytes")
+    body = await reader.readexactly(length) if length else b""
+    return method, target, version, headers, body
 
-    def log_message(self, format: str, *args) -> None:
-        # Route http.server's per-request stderr chatter through -v logging.
-        logger.debug("%s %s", self.address_string(), format % args)
+
+async def _reject(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, error: _Malformed
+) -> None:
+    """Answer a request with broken framing, then drain its input."""
+    writer.write(_encode_response(_error_response(*error.args), keep_alive=False))
+
+    async def discard() -> None:
+        while await reader.read(65536):
+            pass
+
+    try:
+        await writer.drain()
+        writer.write_eof()
+        await asyncio.wait_for(discard(), _LINGER_S)
+    except (ConnectionError, asyncio.TimeoutError):
+        pass
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one :class:`ServingApp`."""
+async def _serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    app: ServingApp,
+    pool: ThreadPoolExecutor,
+    stop: asyncio.Event,
+    idle: set[asyncio.StreamWriter],
+) -> None:
+    """Answer the requests of one connection (HTTP/1.1 keep-alive;
+    ``HTTP/1.0`` and ``Connection: close`` get one answer each)."""
+    loop = asyncio.get_running_loop()
+    try:
+        while not stop.is_set():
+            # Waiting for a request, the connection is idle: a stopping
+            # server closes it at once instead of at the drain timeout.
+            idle.add(writer)
+            try:
+                request = await _read_request(reader)
+            finally:
+                idle.discard(writer)
+            if request is None:
+                return
+            method, target, version, headers, body = request
+            split = urlsplit(target)
+            params = {k: v[0] for k, v in parse_qs(split.query).items()}
+            # Search/pedigree work runs in the pool; the loop parses other
+            # connections meanwhile.
+            response = await loop.run_in_executor(
+                pool, app.handle, method, split.path, params, body
+            )
+            keep_alive = (
+                version != "HTTP/1.0"
+                and headers.get("connection", "").lower() != "close"
+                # A stopping server answers the request it holds, then
+                # closes: keep-alive would pin connections it must shed.
+                and not stop.is_set()
+            )
+            writer.write(_encode_response(response, keep_alive))
+            await writer.drain()
+            if not keep_alive:
+                return
+    except _Malformed as error:
+        app.metrics.inc("serve.http.malformed")
+        await _reject(reader, writer, error)
+    except (ConnectionError, asyncio.IncompleteReadError):
+        return  # client went away mid-request
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
-    daemon_threads = True
-    allow_reuse_address = True
+
+async def serve(
+    app: ServingApp,
+    sock: socket.socket,
+    stop: asyncio.Event | None = None,
+    drain_timeout_s: float = 10.0,
+) -> None:
+    """Answer HTTP on the listening ``sock`` until ``stop`` is set.
+
+    On the main thread SIGTERM and SIGINT set ``stop`` as well.  Then the
+    socket stops accepting, idle keep-alive connections close, and the
+    requests already read get up to ``drain_timeout_s`` to be answered.
+    """
+    loop = asyncio.get_running_loop()
+    stop = stop if stop is not None else asyncio.Event()
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, stop.set)
+    # Sized past the gate so it, not this queue, sheds overload; threads
+    # start on demand.
+    gate = app.config.max_concurrency + app.config.max_pending
+    pool = ThreadPoolExecutor(gate + _SPARE_THREADS, thread_name_prefix="snaps-serve")
+    # Python 3.11's Server.wait_closed does not wait for in-flight
+    # connection handlers, so track them: a stopping server must answer
+    # the requests it already read (a mid-rotation reload, a search in
+    # the pool), or clients see dropped connections.
+    conns: set[asyncio.Task] = set()
+    idle: set[asyncio.StreamWriter] = set()
+
+    async def handle(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        conns.add(task)
+        try:
+            await _serve_connection(reader, writer, app, pool, stop, idle)
+        finally:
+            conns.discard(task)
+
+    server = await asyncio.start_server(handle, sock=sock, limit=MAX_LINE_BYTES)
+    await stop.wait()
+    server.close()  # stop accepting; pre-fork siblings drain the shared queue
+    for writer in list(idle):
+        writer.close()  # the pending read sees end of stream
+    if conns:
+        await asyncio.wait(list(conns), timeout=drain_timeout_s)
+    for task in list(conns):
+        task.cancel()
+    await asyncio.gather(*conns, return_exceptions=True)
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+class ServeHTTPServer:
+    """One :class:`ServingApp` answered by :func:`serve` on a bound socket.
+
+    ``serve_forever`` runs the front on the server's own event loop
+    (typically on a thread); ``shutdown`` stops it from any other thread
+    and waits for it to return; ``server_close`` releases the socket.
+    """
 
     def __init__(self, address: tuple[str, int], app: ServingApp) -> None:
-        super().__init__(address, _RequestHandler)
         self.app = app
+        self.socket = socket.create_server(address, backlog=128)
+        self.server_address = self.socket.getsockname()
+        self._loop = asyncio.new_event_loop()
+        self._stop = asyncio.Event()
+        self._done = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Answer requests until :meth:`shutdown` (or, on the main
+        thread, SIGTERM/SIGINT)."""
+        try:
+            self._loop.run_until_complete(serve(self.app, self.socket, self._stop))
+        finally:
+            self._done.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned.
+
+        A stop requested before the loop runs takes effect when it
+        starts, so shutting down right after starting the thread is safe.
+        """
+        if not self._done.is_set():
+            self._loop.call_soon_threadsafe(self._stop.set)
+            self._done.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
+        self._loop.close()
 
 
 def make_server(app: ServingApp, host: str = "127.0.0.1", port: int = 0) -> ServeHTTPServer:

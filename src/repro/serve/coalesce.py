@@ -11,10 +11,9 @@ leader's event and reuse its result, so N identical in-flight requests
 cost one backend search.
 
 This is deliberately a *thread* primitive (events + a lock), not an
-asyncio one: the serving app runs requests on threads both under the
-classic ``ThreadingHTTPServer`` and under the pre-fork worker's asyncio
-front (which dispatches app calls into a thread pool), so one
-implementation covers both deployment shapes.
+asyncio one: the HTTP front parses on an event loop but dispatches app
+calls into a thread pool, so the app sees concurrent requests on
+threads.
 
 Failure semantics: the leader publishes whatever it produced — including
 an error response — and followers receive it as-is; a crashed leader

@@ -1,12 +1,11 @@
 """Pre-fork serving tier over a shared memory-mapped snapshot.
 
-Python's GIL caps one :class:`~repro.serve.app.ServeHTTPServer` process
-at roughly one core of search throughput no matter how many request
-threads it runs.  The classic escape is the pre-fork model (nginx,
-gunicorn, postgres): a **master** process prepares everything expensive
-exactly once, then ``fork()``\\ s N workers that inherit the prepared
-state and share one listening socket — N processes, N GILs, one copy of
-the data.
+Python's GIL caps one serving process at roughly one core of search
+throughput no matter how many request threads it runs.  The classic
+escape is the pre-fork model (nginx, gunicorn, postgres): a **master**
+process prepares everything expensive exactly once, then ``fork()``\\ s
+N workers that inherit the prepared state and share one listening
+socket — N processes, N GILs, one copy of the data.
 
 The master here:
 
@@ -18,9 +17,8 @@ The master here:
 2. calls :func:`gc.freeze` so the garbage collector never rewrites the
    refcount-laden pages of the pre-fork heap (un-frozen, a single GC
    pass in any worker would un-share most of the graph);
-3. binds the listening socket (workers inherit the fd; with
-   ``reuse_port`` each worker binds its own ``SO_REUSEPORT`` socket
-   instead) and forks the workers;
+3. binds the listening socket and forks the workers, which inherit the
+   fd (the kernel spreads accepts across them);
 4. supervises them with the ``repro.supervise`` heartbeat substrate:
    crashed workers are reaped via ``waitpid`` and restarted, wedged
    workers (stale heartbeat mtime) are killed and restarted, and a
@@ -35,8 +33,9 @@ The master here:
    old snapshot wholesale.  Old and new workers briefly serve side by
    side on the same socket, so no request ever meets a closed port.
 
-Each worker runs an asyncio front on the shared socket: connections are
-parsed on the event loop and dispatched into a small thread pool running
+Each worker runs the same HTTP front as single-process serving,
+:func:`repro.serve.app.serve`, on the shared socket: connections are
+parsed on the event loop and dispatched into a thread pool running
 :meth:`ServingApp.handle` (which is where request coalescing — see
 :mod:`repro.serve.coalesce` — deduplicates identical in-flight
 searches).  Workers publish their metrics registry as JSON files under
@@ -58,15 +57,19 @@ import socket
 import tempfile
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from http.client import responses as _REASONS
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry, histogram_quantile
-from repro.serve.app import Response, ServeConfig, ServingApp
+from repro.serve.app import (
+    Response,
+    ServeConfig,
+    ServingApp,
+    _error_response,
+    _json_response,
+    serve,
+)
 from repro.store import SnapshotStore
 from repro.supervise.heartbeat import (
     HeartbeatWriter,
@@ -96,12 +99,6 @@ class PreforkConfig:
     # Scratch directory for heartbeats / control files / metric
     # snapshots; a private tempdir is created (and kept) when None.
     run_dir: str | os.PathLike | None = None
-    # Per-worker SO_REUSEPORT sockets instead of one inherited fd.
-    reuse_port: bool = False
-    # Threads per worker running ServingApp.handle under the asyncio
-    # front (search is numpy/graph work that mostly holds the GIL, so a
-    # handful is plenty — parallelism comes from processes).
-    worker_threads: int = 4
     heartbeat_interval_s: float = 0.2
     # How often each worker publishes its metrics snapshot for the
     # fleet-merged /metricz view (any worker can answer the scrape).
@@ -280,154 +277,36 @@ class _ReloadForwarder:
                 res_path.unlink()
             except OSError:
                 pass
-            body = (json.dumps(blob["payload"]) + "\n").encode("utf-8")
-            return Response(blob["status"], body, "application/json")
-        body = (
-            json.dumps(
-                {
-                    "error": {
-                        "status": 504,
-                        "message": "reload coordinator did not respond "
-                        f"within {self.timeout_s:g}s",
-                    }
-                }
-            )
-            + "\n"
-        ).encode("utf-8")
-        return Response(504, body, "application/json")
+            return _json_response(blob["status"], blob["payload"])
+        return _error_response(
+            504,
+            f"reload coordinator did not respond within {self.timeout_s:g}s",
+        )
 
 
 # ----------------------------------------------------------------------
-# Worker: asyncio front over the shared socket
+# Worker: the app's HTTP front over the shared socket
 # ----------------------------------------------------------------------
-
-
-async def _serve_connection(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    app: ServingApp,
-    pool: ThreadPoolExecutor,
-    stop: asyncio.Event | None = None,
-) -> None:
-    loop = asyncio.get_running_loop()
-    try:
-        while True:
-            try:
-                line = await reader.readline()
-            except (ConnectionError, asyncio.IncompleteReadError):
-                return
-            if not line or line in (b"\r\n", b"\n"):
-                return
-            try:
-                method, target, version = line.decode("latin-1").split()
-            except ValueError:
-                writer.write(b"HTTP/1.1 400 Bad Request\r\n"
-                             b"Content-Length: 0\r\nConnection: close\r\n\r\n")
-                await writer.drain()
-                return
-            headers: dict[str, str] = {}
-            while True:
-                raw = await reader.readline()
-                if not raw or raw in (b"\r\n", b"\n"):
-                    break
-                name, _, value = raw.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length") or 0)
-            if length:
-                body = await reader.readexactly(length)
-            split = urlsplit(target)
-            params = {k: v[0] for k, v in parse_qs(split.query).items()}
-            # The app call runs search/pedigree work; keep the event
-            # loop free to parse the next connection meanwhile.  This
-            # is also where SingleFlight coalesces duplicate queries.
-            response: Response = await loop.run_in_executor(
-                pool, app.handle, method, split.path, params, body
-            )
-            keep_alive = (
-                version != "HTTP/1.0"
-                and headers.get("connection", "").lower() != "close"
-                # A draining worker answers the request it holds, then
-                # closes — keep-alive would pin connections it must shed.
-                and not (stop is not None and stop.is_set())
-            )
-            reason = _REASONS.get(response.status, "Unknown")
-            head = [
-                f"HTTP/1.1 {response.status} {reason}",
-                f"Content-Type: {response.content_type}",
-                f"Content-Length: {len(response.body)}",
-            ]
-            head += [f"{k}: {v}" for k, v in response.headers.items()]
-            head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-            writer.write(
-                ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
-                + response.body
-            )
-            await writer.drain()
-            if not keep_alive:
-                return
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return  # client went away mid-request
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def _worker_serve(
-    app: ServingApp,
-    sock: socket.socket,
-    threads: int,
-    publish_interval_s: float = 1.0,
-    drain_timeout_s: float = 10.0,
+    app: ServingApp, sock: socket.socket, config: PreforkConfig
 ) -> None:
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    pool = ThreadPoolExecutor(
-        max_workers=threads, thread_name_prefix="snaps-worker"
-    )
-
     async def publish_loop() -> None:
         # Keep this worker's snapshot fresh so whichever sibling the
         # kernel hands the /metricz scrape sees near-live fleet numbers.
-        view = app.metrics_view
-        while view is not None:
+        while True:
             try:
-                view.publish()
+                app.metrics_view.publish()
             except Exception:  # pragma: no cover - best-effort telemetry
                 pass
-            await asyncio.sleep(publish_interval_s)
+            await asyncio.sleep(config.metrics_publish_interval_s)
 
     publisher = asyncio.ensure_future(publish_loop())
-    # Python 3.11's Server.wait_closed does not wait for in-flight
-    # connection handlers, so track them ourselves: a SIGTERM'd worker
-    # must finish the requests it already accepted (a mid-rotation
-    # reload response, a search in the executor) before exiting, or
-    # clients see dropped connections during a "zero-downtime" swap.
-    conns: set[asyncio.Task] = set()
-
-    async def handle(r: asyncio.StreamReader, w: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        conns.add(task)
-        try:
-            await _serve_connection(r, w, app, pool, stop)
-        finally:
-            conns.discard(task)
-
-    server = await asyncio.start_server(handle, sock=sock)
-    async with server:
-        await stop.wait()
-        server.close()  # stop accepting; siblings drain the shared queue
-    if conns:
-        await asyncio.wait(conns, timeout=drain_timeout_s)
-    for task in conns:
-        task.cancel()
-    publisher.cancel()
-    pool.shutdown(wait=False, cancel_futures=True)
+    try:
+        await serve(app, sock, drain_timeout_s=config.shutdown_grace_s)
+    finally:
+        publisher.cancel()
 
 
 def _worker_main(
@@ -443,15 +322,6 @@ def _worker_main(
     """Worker-process entry point (runs after fork, never returns)."""
     status = 0
     try:
-        if config.reuse_port:
-            # Own socket in the kernel's REUSEPORT balancing group; the
-            # master's bound-but-unlistened socket only parks the port.
-            own = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            own.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            own.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            own.bind(sock.getsockname())
-            own.listen(128)
-            sock = own
         app = ServingApp(
             parts.graph,
             serve_config,
@@ -472,15 +342,7 @@ def _worker_main(
             attempt=attempt,
             interval_s=config.heartbeat_interval_s,
         ):
-            asyncio.run(
-                _worker_serve(
-                    app,
-                    sock,
-                    config.worker_threads,
-                    config.metrics_publish_interval_s,
-                    config.shutdown_grace_s,
-                )
-            )
+            asyncio.run(_worker_serve(app, sock, config))
     except BaseException:  # pragma: no cover - crash path
         logger.exception("worker slot %d died", slot)
         status = 1
@@ -561,19 +423,6 @@ class PreforkMaster:
         )
 
     # -- socket --------------------------------------------------------
-
-    def _bind_socket(self) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.config.reuse_port:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((self.serve_config.host, self.serve_config.port))
-        if not self.config.reuse_port:
-            # Workers inherit this fd; the kernel load-balances accepts.
-            sock.listen(128)
-        # else: bound but never listening — it only reserves the port;
-        # each worker joins the REUSEPORT group with its own socket.
-        return sock
 
     @property
     def address(self) -> tuple[str, int]:
@@ -859,7 +708,10 @@ class PreforkMaster:
         for sub in (CONTROL_DIRNAME, METRICS_DIRNAME, HEARTBEAT_DIRNAME):
             (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         clear_heartbeats(self.run_dir / HEARTBEAT_DIRNAME)
-        self._sock = self._bind_socket()
+        # Workers inherit this fd; the kernel load-balances accepts.
+        self._sock = socket.create_server(
+            (self.serve_config.host, self.serve_config.port), backlog=128
+        )
         # Port discovery for harnesses that bind port 0.
         host, port = self.address
         _write_json_atomic(

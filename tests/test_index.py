@@ -88,7 +88,6 @@ class TestSimilarityAwareIndex:
         assert "macdonlad" not in index
         matches = index.matches("macdonlad")  # typo
         assert any(value == "macdonald" for value, _ in matches)
-        assert "macdonlad" in index  # cached for next time
 
     def test_no_shared_bigram_no_match(self, index):
         assert index.matches("zzqq") == []

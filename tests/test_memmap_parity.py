@@ -100,6 +100,34 @@ class TestRawTier:
         assert again.snapshot_id == manifest.snapshot_id
 
 
+class TestReadOnlySimIndex:
+    """Neither S nor its memmap twin grows when queried with unseen
+    values; the unseen value's neighbours are still found."""
+
+    @pytest.mark.parametrize("memmap", [False, True], ids=["eager", "memmap"])
+    def test_unseen_value_found_but_not_stored(self, graph_store, memmap):
+        store, manifest = graph_store
+        loaded = store.load(
+            manifest.snapshot_id, artifacts=("graph", "indexes"), memmap=memmap
+        )
+        index = loaded.sim_index["surname"]
+        state = index.neighbour_state()
+        pairs = index.n_precomputed_pairs()
+        # A stored surname with one letter dropped is a misspelling that
+        # is not itself in the universe.
+        known = next(
+            v for v in sorted(state) if len(v) > 5 and v[:2] + v[3:] not in state
+        )
+        unseen = known[:2] + known[3:]
+        assert known in index and unseen not in index
+        for _ in range(2):
+            found = dict(index.matches(unseen))
+            assert found[known] >= index.threshold
+        assert unseen not in index
+        assert index.neighbour_state() == state
+        assert index.n_precomputed_pairs() == pairs
+
+
 class TestByteParity:
     @pytest.fixture(scope="class")
     def apps(self, graph_store):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -590,6 +594,219 @@ class TestEndToEnd:
         assert warm["matches"] == cold["matches"]
 
 
+def _read_response(sock) -> tuple[int, dict[str, str], bytes]:
+    """One HTTP response off a raw socket: (status, headers, body)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed before a response head: {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    length = int(headers["content-length"])
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length, "bytes beyond the announced body"
+    return int(status_line.split()[1]), headers, body
+
+
+@pytest.fixture()
+def live_server(running_server):
+    """(app, (host, port)) of the ``make_server`` front."""
+    app, client = running_server
+    split = urlsplit(client.base_url)
+    return app, (split.hostname, split.port)
+
+
+class TestHttpFront:
+    def test_keep_alive_answers_each_request_in_one_write(
+        self, live_server, monkeypatch
+    ):
+        """Head and body leave in one write: a head sent alone makes the
+        follow-up request on a keep-alive connection wait ~40 ms for the
+        client's delayed ACK."""
+        writes: list[bytes] = []
+        original = asyncio.StreamWriter.write
+
+        def recording_write(writer, data):
+            writes.append(bytes(data))
+            return original(writer, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", recording_write)
+        _, address = live_server
+        with socket.create_connection(address, timeout=10) as sock:
+            bodies = []
+            for _ in range(2):
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                status, headers, body = _read_response(sock)
+                assert status == 200
+                assert headers["connection"] == "keep-alive"
+                bodies.append(body)
+        assert len(writes) == 2
+        for write, body in zip(writes, bodies):
+            assert write.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert write.endswith(b"\r\n\r\n" + body)
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ],
+        ids=["http10", "connection-close"],
+    )
+    def test_one_answer_then_close(self, live_server, request_bytes):
+        _, address = live_server
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(request_bytes)
+            status, headers, _ = _read_response(sock)
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert sock.recv(1) == b""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"POST /v1/search HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            (b"POST /v1/search HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}", 400),
+            (b"GET /healthz\r\n\r\n", 400),
+            (b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n", 414),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024)
+                + b"\r\n\r\n",
+                431,
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+                + b"\r\n",
+                431,
+            ),
+            (
+                b"POST /v1/search HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (2 * 1024 * 1024),
+                413,
+            ),
+        ],
+        ids=[
+            "length-not-integer", "length-negative", "request-line",
+            "request-line-too-long", "header-line-too-long",
+            "too-many-headers", "body-too-large",
+        ],
+    )
+    def test_malformed_framing_gets_4xx_and_server_keeps_serving(
+        self, live_server, request_bytes, status
+    ):
+        app, address = live_server
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(request_bytes)
+            got, headers, body = _read_response(sock)
+            assert got == status
+            assert headers["connection"] == "close"
+            assert json.loads(body)["error"]["status"] == status
+            assert sock.recv(1) == b""
+        assert app.metrics.as_dict()["counters"]["serve.http.malformed"] == 1
+        # The front still answers the next client.
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert _read_response(sock)[0] == 200
+
+    def test_overflow_is_shed_over_http(self, tiny_pedigree_graph):
+        """The front hands every request to the admission gate: with its
+        slots full, one more concurrent search is answered 429 +
+        Retry-After at once (not queued behind the slow ones), and
+        /healthz still answers."""
+        probe = _named_entity(tiny_pedigree_graph)
+        slots = 5  # more than a fixed handful of front threads
+        config = ServeConfig(max_concurrency=slots, max_pending=0)
+        slow_app = ServingApp(tiny_pedigree_graph, config)
+        real_search = slow_app.engine.search
+        running = threading.Semaphore(0)
+
+        def slow_search(query, top_m=10):
+            running.release()
+            time.sleep(1.0)
+            return real_search(query, top_m=top_m)
+
+        slow_app.engine.search = slow_search
+        server = make_server(slow_app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+
+        def request(head, body=b""):
+            began = time.monotonic()
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(head + body)
+                status, headers, _ = _read_response(sock)
+            return status, headers, time.monotonic() - began
+
+        def search(top):
+            body = json.dumps({
+                "first_name": probe.first("first_name"),
+                "surname": probe.first("surname"),
+                "top": top,  # distinct queries: no coalescing
+            }).encode()
+            return request(
+                b"POST /v1/search HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body), body,
+            )
+
+        try:
+            with ThreadPoolExecutor(max_workers=slots + 1) as pool:
+                searches = [pool.submit(search, top) for top in range(1, slots + 2)]
+                for _ in range(slots):
+                    assert running.acquire(timeout=5)
+                status, _, elapsed = request(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert status == 200 and elapsed < 0.5
+                answers = [future.result(timeout=10) for future in searches]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        statuses = sorted(status for status, _, _ in answers)
+        assert statuses == [200] * slots + [429]
+        _, headers, elapsed = next(a for a in answers if a[0] == 429)
+        assert int(headers["retry-after"]) >= 1
+        assert elapsed < 0.8, "the rejection waited for a slot"
+
+    def test_shutdown_closes_idle_keep_alive_connections(self, app):
+        server = make_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert _read_response(sock)[0] == 200
+                started = time.monotonic()
+                server.shutdown()
+                # Far below the 10 s drain timeout for in-flight requests.
+                assert time.monotonic() - started < 3.0
+                assert sock.recv(1) == b""
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_shutdown_before_the_loop_runs_does_not_hang(self, app):
+        server = make_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        done = threading.Thread(target=server.shutdown, daemon=True)
+        done.start()  # shutdown first, serve_forever second
+        time.sleep(0.2)
+        thread.start()
+        done.join(timeout=5)
+        thread.join(timeout=5)
+        server.server_close()
+        assert not done.is_alive() and not thread.is_alive()
+
+
 # ----------------------------------------------------------------------
 # Client reload wrapper (promotion path)
 # ----------------------------------------------------------------------
@@ -672,8 +889,8 @@ class TestConcurrentSearch:
             e for e in tiny_pedigree_graph
             if e.first("first_name") and e.first("surname")
         ][:12]
-        # Misspell some surnames so the simindex query-time cache (the
-        # one mutable structure) is exercised concurrently.
+        # Misspell some surnames so unseen values are resolved against
+        # the similarity index concurrently.
         queries = []
         for i, entity in enumerate(named):
             surname = entity.first("surname")
